@@ -43,7 +43,6 @@ from cellres.residue import (
     annihilator_bounds,
     classify,
     duality_check,
-    primary_parts,
     residue_current,
 )
 from cellres.resolution import (
@@ -88,7 +87,6 @@ __all__ = [
     "annihilator_bounds",
     "classify",
     "duality_check",
-    "primary_parts",
     "residue_current",
     "FreeComplex",
     "betti_ranks",

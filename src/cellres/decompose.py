@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from cellres.complexes import VERTEX_CAP, LabeledComplex
 from cellres.errors import (
@@ -54,21 +53,28 @@ class Decomposition:
         return acc
 
     def is_irredundant(self) -> bool:
-        if self.intersection() != self.ideal:
-            return False
-        for skip in range(len(self.components)):
-            acc = unit_ideal(self.ideal.nvars)
-            for i, c in enumerate(self.components):
-                if i != skip:
-                    acc = acc.intersect(c.as_ideal())
-            if acc == self.ideal:
-                return False
-        return True
+        """True iff the components intersect to the ideal and none of them
+        can be dropped.
+
+        When the components C_j intersect to M, C_i can be dropped exactly
+        when the intersection of the others lies in C_i.  An irreducible
+        monomial ideal that contains an intersection of monomial ideals
+        contains one of them: otherwise the lcm of one witness outside it
+        per ideal lies in the intersection but escapes it.  So C_i can be
+        dropped iff it contains some other C_j, and the test is pairwise
+        containment of exponent vectors, O(k^2 n), after one intersection.
+        """
+        return self.intersection() == self.ideal and not self._has_nested_pair()
+
+    def _has_nested_pair(self) -> bool:
+        return any(i != j and outer.contains(inner)
+                   for i, outer in enumerate(self.components)
+                   for j, inner in enumerate(self.components))
 
     def verify(self):
         if self.intersection() != self.ideal:
             raise VerificationError(f"{self.method}: components do not intersect to the ideal")
-        if not self.is_irredundant():
+        if self._has_nested_pair():
             raise VerificationError(f"{self.method}: decomposition is redundant")
 
 
@@ -102,18 +108,25 @@ def decompose_minimal(M: MonomialIdeal, X: LabeledComplex,
     return dec
 
 
-@lru_cache(maxsize=256)
 def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Decomposition:
     """Oracle decomposition by direct enumeration.
 
     Scan candidate exponent vectors b (with b_i = 0 or b_i a degree some
     generator has in z_i: a component exponent can never be anything
-    else, because shrinking the ideal at i must expel a generator), keep
-    those whose irreducible ideal contains M, reduce to inclusion-minimal
-    ideals, then drop components whose removal keeps the intersection
-    equal to M.  Uniqueness of the irredundant decomposition makes the
-    result order-independent; the scan order is canonical anyway, and
-    the final verification would catch a wrongly narrowed scan loudly.
+    else, because shrinking the ideal at i must expel a generator) and
+    keep those whose irreducible ideal m^b contains M.  The components
+    are the inclusion-minimal ones among these.
+
+    Minimality is tested locally.  A one-coordinate step from b to a
+    smaller ideal, at some i in supp(b), either raises b_i to the next
+    value of its value set or sets b_i to 0.  If M lies in some m^c
+    strictly inside m^b, a step at a coordinate where c differs from b
+    lands on a grid vector b' with m^c inside m^b' inside m^b, so M lies
+    in m^b' too.  Hence b is minimal iff none of its at most 2n
+    neighbours contains M: a few set lookups per candidate instead of a
+    comparison with every other candidate.  The minimal candidates are
+    exactly the irredundant components, so nothing is left to drop;
+    ``verify`` checks the result anyway.
     """
     M.require_nonzero()
     if M.is_unit():
@@ -127,28 +140,26 @@ def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Dec
     if total > candidate_cap:
         raise CapExceededError(f"{total} candidate vectors exceeds the cap {candidate_cap}")
 
-    containing = []
+    containing = set()
     for b in itertools.product(*value_sets):
         if any(b) and all(any(bv and gv >= bv for gv, bv in zip(g, b)) for g in gens_exps):
-            containing.append(b)
+            containing.add(b)
 
-    def inside(c, b):
-        # m^c contained in m^b as ideals
-        return all(not cv or (bv and cv >= bv) for cv, bv in zip(c, b))
+    next_value = [dict(zip(vs, vs[1:])) for vs in value_sets]
 
-    minimal = sorted(b for b in containing
-                     if not any(c != b and inside(c, b) for c in containing))
+    def has_smaller_neighbour(b):
+        for i, bv in enumerate(b):
+            if bv:
+                head, tail = b[:i], b[i + 1:]
+                if head + (0,) + tail in containing:
+                    return True
+                up = next_value[i].get(bv)
+                if up is not None and head + (up,) + tail in containing:
+                    return True
+        return False
 
-    kept = [IrreducibleIdeal(b) for b in minimal]
-    for c in list(kept):
-        rest = [o for o in kept if o != c]
-        acc = unit_ideal(M.nvars)
-        for o in rest:
-            acc = acc.intersect(o.as_ideal())
-        if acc == M:
-            kept = rest
-
-    dec = Decomposition(M, tuple(kept), METHOD_BRUTE)
+    minimal = sorted(b for b in containing if not has_smaller_neighbour(b))
+    dec = Decomposition(M, tuple(IrreducibleIdeal(b) for b in minimal), METHOD_BRUTE)
     dec.verify()
     return dec
 

@@ -21,7 +21,7 @@ import re
 
 from cellres.complexes import LabeledComplex, polyhedral_from_incidence, simplicial_from_facets
 from cellres.errors import ParseError
-from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, minimalize
+from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
 
 SCHEMA_VERSION = 1
 
@@ -184,11 +184,11 @@ def _parse_ideal_json(text: str):
 
 def _finish_ideal(nvars, gens, names):
     warnings = []
-    minimal = minimalize(gens)
-    if set(minimal) != set(gens):
-        kept = ", ".join(monomial_str(g, names) for g in minimal)
+    M = MonomialIdeal.from_generators(nvars, gens)
+    if set(M.gens) != set(gens):
+        kept = ", ".join(monomial_str(g, names) for g in M.gens)
         warnings.append(f"generators were not minimal; reduced to {kept}")
-    return MonomialIdeal(nvars, minimal), names, warnings
+    return M, names, warnings
 
 
 def parse_complex(text: str):

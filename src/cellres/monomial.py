@@ -10,6 +10,7 @@ concurrent tasks.
 from __future__ import annotations
 
 import itertools
+from operator import le
 
 from cellres.errors import DimensionMismatch, ZeroIdealError
 
@@ -123,13 +124,32 @@ def minimalize(gens) -> tuple:
     The result generates the same ideal and is its unique minimal
     generating set.
     """
-    unique = sorted({m.exps for m in gens})
-    ms = [Monomial(e) for e in unique]
+    unique = {m.exps for m in gens}
+    if len({len(e) for e in unique}) > 1:
+        raise DimensionMismatch("generators over different numbers of variables")
+    return tuple(_monomial(e) for e in _minimal_exps(unique))
+
+
+def _monomial(exps) -> Monomial:
+    # trusted: exps is already a tuple of nonnegative ints
+    m = object.__new__(Monomial)
+    m.exps = exps
+    return m
+
+
+def _minimal_exps(unique) -> list:
+    """The minimal elements of a set of exponent tuples, in lex order.
+
+    In total-degree order every proper divisor comes first, and a
+    non-minimal divisor is itself divided by a kept one, so testing each
+    vector against the kept ones alone is enough.
+    """
     kept = []
-    for g in ms:
-        if not any(h.exps != g.exps and h.divides(g) for h in ms):
-            kept.append(g)
-    return tuple(kept)
+    for e in sorted(unique, key=sum):
+        if not any(all(map(le, k, e)) for k in kept):
+            kept.append(e)
+    kept.sort()
+    return kept
 
 
 class MonomialIdeal:
@@ -163,8 +183,20 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, nvars: int, gens) -> MonomialIdeal:
-        gens = tuple(g if isinstance(g, Monomial) else Monomial(g) for g in gens)
-        return cls(nvars, minimalize(gens))
+        unique = {(g if isinstance(g, Monomial) else Monomial(g)).exps for g in gens}
+        for e in unique:
+            if len(e) != nvars:
+                raise DimensionMismatch(f"generator {e!r} in {nvars} variables")
+        return cls._trusted(nvars, _minimal_exps(unique))
+
+    @classmethod
+    def _trusted(cls, nvars: int, exps) -> MonomialIdeal:
+        """Build from lex-sorted, pairwise incomparable exponent tuples of
+        length nvars, skipping the checks of ``__init__``."""
+        ideal = object.__new__(cls)
+        ideal.nvars = nvars
+        ideal.gens = tuple(_monomial(e) for e in exps)
+        return ideal
 
     @property
     def num_gens(self) -> int:
@@ -194,10 +226,8 @@ class MonomialIdeal:
         """Intersection, generated by pairwise lcms of the generators."""
         if self.nvars != other.nvars:
             raise DimensionMismatch(f"{self.nvars} variables vs {other.nvars}")
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal(self.nvars, ())
-        pairwise = [lcm(g, h) for g in self.gens for h in other.gens]
-        return MonomialIdeal.from_generators(self.nvars, pairwise)
+        pairwise = {tuple(map(max, g.exps, h.exps)) for g in self.gens for h in other.gens}
+        return MonomialIdeal._trusted(self.nvars, _minimal_exps(pairwise))
 
     def max_degrees(self) -> tuple:
         """Componentwise maximum exponent over all generators."""
@@ -301,13 +331,10 @@ class IrreducibleIdeal:
 
     def as_ideal(self) -> MonomialIdeal:
         n = self.nvars
-        gens = []
-        for i, b in enumerate(self.exponent.exps):
-            if b > 0:
-                e = [0] * n
-                e[i] = b
-                gens.append(Monomial(e))
-        return MonomialIdeal(n, gens)
+        exps = self.exponent.exps
+        # pure powers of distinct variables are pairwise incomparable
+        powers = sorted((0,) * i + (b,) + (0,) * (n - i - 1) for i, b in enumerate(exps) if b > 0)
+        return MonomialIdeal._trusted(n, powers)
 
     def __eq__(self, other):
         if not isinstance(other, IrreducibleIdeal):

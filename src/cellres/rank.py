@@ -13,7 +13,9 @@ file's dispatch:
 
 ``matrix_rank`` prefers the compiled kernel when it was built and falls
 back transparently.  Set CELLRES_PURE=1 to disable the kernel at import
-time (``benchmarks/bench_rank.py`` compares the two paths).
+time.  ``python3 perfbench/run.py --workload W --seed 1 --trace 0|1``
+measures either path end to end (``--trace 1`` gives per-layer rank
+time and the ``rank.compiled`` flag).
 """
 
 from __future__ import annotations

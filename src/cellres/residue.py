@@ -77,11 +77,16 @@ class ResidueEntry:
 
 @dataclass(frozen=True)
 class ResidueCurrent:
-    """All entries, canonically ordered and grouped by associated prime."""
+    """All entries, canonically ordered and grouped by associated prime.
+
+    ``components`` is the irredundant irreducible decomposition of the
+    ideal that the associated primes were read from.
+    """
 
     ideal: MonomialIdeal
     complex: LabeledComplex
     entries: tuple
+    components: tuple
 
     def by_prime(self):
         """Entries grouped by K, in canonical K order."""
@@ -103,7 +108,8 @@ def residue_current(M: MonomialIdeal, X: LabeledComplex,
     if not is_resolution(X, cap):
         raise NotResolutionError("the complex does not support a resolution")
 
-    primes = sorted({frozenset(c.support) for c in decompose_brute(M).components},
+    components = decompose_brute(M).components
+    primes = sorted({frozenset(c.support) for c in components},
                     key=lambda s: (len(s), sorted(s)))
     entries = []
     for K in primes:
@@ -121,7 +127,7 @@ def residue_current(M: MonomialIdeal, X: LabeledComplex,
                 annihilator=IrreducibleIdeal(b),
             ))
     entries.sort(key=lambda e: (len(e.K), sorted(e.K), e.face_id))
-    return ResidueCurrent(M, X, tuple(entries))
+    return ResidueCurrent(M, X, tuple(entries), components)
 
 
 def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
@@ -149,8 +155,7 @@ def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
             tagged.append(e)
 
     # duality forces the single surviving carrier of a component
-    components = decompose_brute(M).components
-    for comp in components:
+    for comp in current.components:
         carriers = [i for i, e in enumerate(tagged)
                     if e.status != ZERO and e.annihilator == comp]
         if len(carriers) == 1:
@@ -158,7 +163,7 @@ def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
             if tagged[i].status != NONZERO:
                 tagged[i] = replace(tagged[i], status=NONZERO, rule=RULE_UNIQUE_CARRIER)
 
-    return ResidueCurrent(M, X, tuple(tagged))
+    return replace(current, entries=tuple(tagged))
 
 
 def annihilator_bounds(current: ResidueCurrent):
@@ -210,11 +215,6 @@ def duality_check(M: MonomialIdeal, X: LabeledComplex,
     else:
         verdict = VERDICT_VIOLATED
     return DualityReport(verdict, lower, upper, current)
-
-
-def primary_parts(current: ResidueCurrent):
-    """Entries grouped by associated prime (alias of ``by_prime``)."""
-    return current.by_prime()
 
 
 def check_classification(current: ResidueCurrent):

@@ -139,7 +139,9 @@ def scarf_pairs(M: MonomialIdeal, D: int | None = None, cap: int = VERTEX_CAP):
         verts = facet.vertices
         K = frozenset(i for i in range(M.nvars) if gh.ghost_positions.get(i) not in verts)
         tau = frozenset(base_idx[p] for p in verts if p in base_idx)
-        assert all(p in base_idx or p in ghost_var for p in verts)
+        if not all(p in base_idx or p in ghost_var for p in verts):
+            raise VerificationError(f"facet {sorted(verts)} has a vertex that is neither "
+                                    "a base generator nor a ghost")
         pairs.append(ScarfPair(K, tau, facet.label))
     pairs.sort(key=lambda p: (sorted(p.K), sorted(p.tau)))
     return tuple(pairs)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cellres.errors import (
     NotArtinianError,
     NotGenericError,
     NotMinimalError,
+    VerificationError,
 )
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
 from cellres.scarf import scarf_complex
@@ -24,6 +26,7 @@ from conftest import (
     hull_specs,
     mk,
     random_generic_ideal,
+    random_ideal,
     random_staircase,
     three_gen_nonartinian,
     xy_square,
@@ -184,3 +187,131 @@ def test_component_count_bounded_by_top_faces():
         for X in (taylor_complex(M), scarf_complex(M)):
             carriers = [f for f in X.grade(n) if all(f.label.exps)]
             assert ncomp <= len(carriers)
+
+
+# Test-side oracles: the earlier production code, kept as references.
+# They work on plain exponent tuples and use nothing from cellres but
+# the ideals they are handed.
+
+def naive_meet(nvars, ideals):
+    """Generators of an intersection: pairwise lcms, then all-pairs
+    divisibility minimalization; the empty intersection is the unit ideal."""
+    acc = [(0,) * nvars]
+    for gens in ideals:
+        lcms = {tuple(max(a, b) for a, b in zip(g, h)) for g in acc for h in gens}
+        acc = sorted(e for e in lcms
+                     if not any(f != e and all(x <= y for x, y in zip(f, e)) for f in lcms))
+    return acc
+
+
+def irreducible_gens(b):
+    """Generators z_i^{b_i} of the irreducible ideal with exponent b."""
+    return [tuple(bi if j == i else 0 for j in range(len(b))) for i, bi in enumerate(b) if bi > 0]
+
+
+def oracle_is_irredundant(dec):
+    """Leave-one-out: the components meet to the ideal, and no proper
+    subfamily does."""
+    n = dec.ideal.nvars
+    target = [g.exps for g in dec.ideal.gens]
+    comps = [irreducible_gens(c.exponent.exps) for c in dec.components]
+    if naive_meet(n, comps) != target:
+        return False
+    return all(naive_meet(n, comps[:i] + comps[i + 1:]) != target for i in range(len(comps)))
+
+
+def oracle_components(M):
+    """Candidate scan, O(C^2) inclusion-minimal filter, leave-one-out pass."""
+    n = M.nvars
+    gens = [g.exps for g in M.gens]
+    value_sets = [sorted({0} | {g[i] for g in gens if g[i] > 0}) for i in range(n)]
+    containing = [b for b in itertools.product(*value_sets)
+                  if any(b) and all(any(bv and gv >= bv for gv, bv in zip(g, b)) for g in gens)]
+
+    def inside(c, b):
+        return all(not cv or (bv and cv >= bv) for cv, bv in zip(c, b))
+
+    kept = sorted(b for b in containing if not any(c != b and inside(c, b) for c in containing))
+    for c in list(kept):
+        rest = [o for o in kept if o != c]
+        if naive_meet(n, [irreducible_gens(o) for o in rest]) == gens:
+            kept = rest
+    return kept
+
+
+def oracle_family(seed, count):
+    """Seeded ideals with n <= 4 and up to 10 generators: generic,
+    non-generic, non-Artinian and one-variable cases."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            n = rng.randint(2, 4)
+            out.append(random_generic_ideal(rng, n, rng.randint(n, 10), artinian=rng.random() < 0.5))
+        elif kind == 1:
+            n = rng.randint(2, 4)
+            out.append(random_ideal(rng, n, rng.randint(2, 10), maxdeg=4))
+        elif kind == 2:
+            # no pure power of the last variable: never Artinian
+            n = rng.randint(2, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+            gens = [g for g in gens if any(g[:-1])] or [(1,) + (0,) * (n - 1)]
+            out.append(mk(n, *gens))
+        else:
+            out.append(mk(1, *[(rng.randint(1, 9),) for _ in range(rng.randint(1, 10))]))
+    return out
+
+
+def test_brute_matches_oracle_decomposition():
+    family = oracle_family(331, 300)
+    assert {M.nvars for M in family} == {1, 2, 3, 4}
+    assert any(not M.is_generic() for M in family)
+    assert any(not M.is_artinian() for M in family)
+    for M in family:
+        assert exps(decompose_brute(M)) == oracle_components(M), M
+
+
+def _planted(dec, rng):
+    """Variants of a true decomposition, each with its expected verdict."""
+    comps = list(dec.components)
+    n = dec.ideal.nvars
+    c = rng.choice(comps)
+    b = list(c.exponent.exps)
+    i = rng.randrange(n)
+    # a larger ideal than c, nested around it: add variable i or lower its exponent
+    b[i] = 1 if b[i] <= 1 else b[i] - 1
+    larger = IrreducibleIdeal(b)
+    variants = [(comps, True), (comps + [c], False), (comps[1:], False)]
+    if larger != c:
+        variants.append((comps + [larger], False))
+        variants.append(([larger] + comps, False))
+    return [(Decomposition(dec.ideal, tuple(cs), dec.method), ok) for cs, ok in variants]
+
+
+def test_is_irredundant_matches_leave_one_out():
+    rng = random.Random(337)
+    seen = 0
+    for M in oracle_family(337, 80):
+        for dec, expected in _planted(decompose_brute(M), rng):
+            assert dec.is_irredundant() == oracle_is_irredundant(dec) == expected, dec
+            if not expected:
+                with pytest.raises(VerificationError):
+                    dec.verify()
+            seen += 1
+    assert seen >= 300
+
+
+def test_intersect_matches_pairwise_lcm_oracle():
+    rng = random.Random(347)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        A, B = (random_ideal(rng, n, rng.randint(1, 8), maxdeg=5) for _ in range(2))
+        got = [g.exps for g in A.intersect(B).gens]
+        assert got == naive_meet(n, [[g.exps for g in A.gens], [g.exps for g in B.gens]])
+        assert A.intersect(B) == B.intersect(A)
+        raw = [g.exps for g in A.gens + B.gens]
+        assert [g.exps for g in MonomialIdeal.from_generators(n, raw).gens] == \
+            naive_meet(n, [raw])
+    zero = MonomialIdeal(2, ())
+    assert mk(2, (1, 0)).intersect(zero).is_zero() and zero.intersect(zero).is_zero()

@@ -239,3 +239,20 @@ def test_cli_staircase_formats(tmp_path, capsys):
     assert main(["staircase", path, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["outer_corners"] == [[2, 3], [4, 2]]
+
+
+def test_cli_verify_reports_skipped_taylor_check(tmp_path, capsys):
+    # eleven generators x^(10-k) y^k: past the Taylor check's limit of ten
+    path = _write(tmp_path, "m.txt", ideal_text(mk(2, *[(10 - k, k) for k in range(11)])))
+    assert main(["verify", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    taylor = [c for c in doc["checks"] if c["name"] == "taylor-resolution"]
+    assert taylor == [{"name": "taylor-resolution", "passed": None, "skipped": True,
+                       "detail": "more than 10 generators"}]
+    ran = [c for c in doc["checks"] if c["name"] != "taylor-resolution"]
+    assert ran and all(c["passed"] is True and "skipped" not in c for c in ran)
+    assert doc["all_passed"] is True
+    assert main(["verify", path]) == 0
+    out = capsys.readouterr().out
+    assert "skip taylor-resolution: more than 10 generators" in out.splitlines()
+    assert "ok taylor-resolution" not in out and out.endswith("all checks passed\n")

@@ -14,7 +14,6 @@ from cellres.residue import (
     check_classification,
     classify,
     duality_check,
-    primary_parts,
     residue_current,
 )
 from cellres.scarf import scarf_complex
@@ -217,7 +216,7 @@ def test_zero_rule_soundness():
 def test_primary_parts_three_gen():
     M = three_gen_nonartinian()
     R = classified(M, scarf_complex(M))
-    groups = primary_parts(R)
+    groups = R.by_prime()
     assert [sorted(K) for K in groups] == [[0], [0, 1]]
     assert len(groups[frozenset({0})]) == 3
     assert len(groups[frozenset({0, 1})]) == 2
@@ -230,7 +229,7 @@ def test_primary_parts_match_primary_grouping():
     for _ in range(8):
         M = random_generic_ideal(rng, 2, rng.randint(2, 5))
         R = classified(M, scarf_complex(M))
-        groups = primary_parts(R)
+        groups = R.by_prime()
         expected = primary_grouping(decompose_brute(M))
         for K, entries in groups.items():
             acc = None
@@ -245,7 +244,7 @@ def test_primary_parts_match_primary_grouping():
 def test_artinian_single_group():
     M = five_gen_nongeneric()
     R = classified(M, taylor_complex(M))
-    assert list(primary_parts(R)) == [frozenset({0, 1, 2})]
+    assert list(R.by_prime()) == [frozenset({0, 1, 2})]
 
 
 def test_nonzero_count_versus_components():
@@ -269,3 +268,21 @@ def test_residue_preconditions():
     other = mk(2, (1, 0), (0, 1))
     with pytest.raises(LabelMismatchError):
         residue_current(M, taylor_complex(other))
+
+
+def test_duality_check_decomposes_once(monkeypatch):
+    import cellres.residue
+
+    calls = []
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        return decompose_brute(M, *args, **kwargs)
+
+    monkeypatch.setattr(cellres.residue, "decompose_brute", counting)
+    for M in (three_gen_nonartinian(), five_gen_nongeneric()):
+        X = scarf_complex(M) if M.is_generic() else taylor_complex(M)
+        calls.clear()
+        report = duality_check(M, X)
+        assert calls == [M]
+        assert set(report.current.components) == set(decompose_brute(M).components)

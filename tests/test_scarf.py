@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cellres.errors import CapExceededError, PreconditionError
+from cellres.errors import CapExceededError, PreconditionError, VerificationError
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.scarf import scarf_complex, scarf_pairs, star_ideal
 from conftest import (
@@ -178,3 +178,21 @@ def test_staircase_scarf_is_path():
     M, _ = random_staircase(rng, 6)
     X = scarf_complex(M)
     assert facet_sets(X) == {frozenset({i, i + 1}) for i in range(5)}
+
+
+def test_scarf_pairs_unknown_vertex_raises(monkeypatch):
+    import dataclasses
+
+    import cellres.scarf
+
+    real = cellres.scarf.star_ideal
+
+    def lose_a_base_position(M, D=None):
+        gh = real(M, D)
+        positions = dict(gh.base_positions)
+        positions.pop(0)
+        return dataclasses.replace(gh, base_positions=positions)
+
+    monkeypatch.setattr(cellres.scarf, "star_ideal", lose_a_base_position)
+    with pytest.raises(VerificationError, match="neither a base generator nor a ghost"):
+        scarf_pairs(three_gen_nonartinian())
