@@ -17,7 +17,14 @@ from cellres.ioformats import (
 )
 from cellres.monomial import Monomial
 from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
-from conftest import five_gen_nongeneric, hull_specs, mk, random_ideal, three_gen_nonartinian
+from conftest import (
+    five_gen_nongeneric,
+    hull_specs,
+    mk,
+    random_generic_ideal,
+    random_ideal,
+    three_gen_nonartinian,
+)
 
 
 def test_parse_text_ideal():
@@ -256,3 +263,84 @@ def test_cli_verify_reports_skipped_taylor_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "skip taylor-resolution: more than 10 generators" in out.splitlines()
     assert "ok taylor-resolution" not in out and out.endswith("all checks passed\n")
+
+
+def _generic_artinian_paths(tmp_path):
+    rng = random.Random(31)
+    ideals = []
+    while len(ideals) < 3:
+        M = random_generic_ideal(rng, 3, 8, artinian=True)
+        if M.num_gens >= 6:
+            ideals.append(M)
+    return [_write(tmp_path, f"g{k}.txt", ideal_text(M)) for k, M in enumerate(ideals)]
+
+
+def test_cli_resolve_checks_exactness_once(tmp_path, capsys, monkeypatch):
+    import cellres.cli
+    import cellres.resolution
+
+    calls = []
+    original = cellres.resolution.is_resolution
+
+    def counting(X, *args, **kwargs):
+        calls.append(X)
+        return original(X, *args, **kwargs)
+
+    monkeypatch.setattr(cellres.cli, "is_resolution", counting)
+    monkeypatch.setattr(cellres.resolution, "is_resolution", counting)
+    for path in _generic_artinian_paths(tmp_path):
+        calls.clear()
+        assert main(["resolve", path, "--complex", "scarf"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
+        assert "resolution: yes" in lines and "minimal: yes" in lines
+        ranks = next(line for line in lines if line.startswith("ranks: "))
+        assert lines[-1] == "betti " + ranks
+
+
+@pytest.mark.parametrize("method", ["scarf", "minimal", "brute"])
+def test_cli_decompose_intersects_once(tmp_path, capsys, monkeypatch, method):
+    from cellres.decompose import Decomposition
+
+    calls = []
+    original = Decomposition.intersection
+
+    def counting(self):
+        calls.append(self.method)
+        return original(self)
+
+    monkeypatch.setattr(Decomposition, "intersection", counting)
+    for path in _generic_artinian_paths(tmp_path):
+        calls.clear()
+        argv = ["decompose", path, "--method", method, "--format", "json"]
+        assert main(argv + (["--complex", "scarf"] if method == "minimal" else [])) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+        assert len(calls) == 1
+
+
+def test_cli_verify_builds_scarf_complex_once(tmp_path, capsys, monkeypatch):
+    import cellres.cli
+
+    calls = []
+    original = cellres.cli.scarf_complex
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(cellres.cli, "scarf_complex", counting)
+    paths = _generic_artinian_paths(tmp_path)
+    for path in paths:
+        calls.clear()
+        assert main(["verify", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"minimal-equals-brute", "duality-exact"} <= {c["name"] for c in doc["checks"]}
+        assert len(calls) == 1
+    # a build past the cap fails both checks that share it, with the same message
+    calls.clear()
+    assert main(["verify", paths[0], "--cap-vertices", "3", "--format", "json"]) == 5
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(calls) == 2
+    assert checks["minimal-equals-brute"]["passed"] is checks["duality-exact"]["passed"] is False
+    assert checks["minimal-equals-brute"]["detail"] == checks["duality-exact"]["detail"]
+    assert "exceeds the vertex cap 3" in checks["duality-exact"]["detail"]
