@@ -36,7 +36,7 @@ from cellres.ioformats import (
 from cellres.monomial import Monomial
 from cellres.residue import VERDICT_EXACT, duality_check
 from cellres.resolution import build_complex, is_minimal, is_resolution, verify_chain
-from cellres.scarf import scarf_complex, scarf_pairs, star_ideal
+from cellres.scarf import facet_pairs, scarf_complex, star_ideal
 from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
 
 EXIT_OK = 0
@@ -111,9 +111,9 @@ def _yn(b):
 def _cmd_scarf(args):
     M, names = _load_ideal(args)
     if args.star:
-        pairs = scarf_pairs(M, args.ghost_exponent, args.cap_vertices)
         gh = star_ideal(M, args.ghost_exponent)
         X = scarf_complex(gh.star, args.cap_vertices)
+        pairs = facet_pairs(gh, X)
         doc = {
             "complex": ioformats.complex_doc(X, names),
             "ghost_exponent": gh.ghost_exponent,

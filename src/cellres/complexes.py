@@ -4,8 +4,10 @@ A complex carries one monomial label per vertex; every face is labeled
 by the lcm of its vertex labels.  Faces are graded so that grade k holds
 the faces of dimension k-1 (grade 0 is the empty face alone, grade 1 the
 vertices).  Complexes are immutable once built, and every constructor
-validates the signed incidence structure: boundaries must drop exactly
-one dimension and the composition of two boundary steps must cancel.
+validates the signed incidence structure once, where the complex
+enters: boundaries must drop exactly one dimension and the composition
+of two boundary steps must cancel.  Degree restrictions are filters of
+a validated complex, so they are selected from it, not rebuilt.
 
 Simplicial complexes get their orientation from the vertex order; for
 polyhedral input the caller supplies the full signed face lattice and we
@@ -98,8 +100,10 @@ def _build_complex(labels, entries) -> LabeledComplex:
     """Validate a face table and produce the canonical complex.
 
     ``entries`` maps key -> (dim, vertices or None, boundary list of
-    (key, sign)).  Vertices are derived bottom-up when not supplied.
-    The empty face must be present under the key ().
+    (key, sign)).  Its two callers, the constructors below, put the
+    empty face under the key () and give each vertex its one index and
+    the boundary ((), +1); higher faces derive their vertices bottom-up
+    when none are given.
     """
     labels = tuple(m if isinstance(m, Monomial) else Monomial(m) for m in labels)
     if labels:
@@ -110,18 +114,18 @@ def _build_complex(labels, entries) -> LabeledComplex:
 
     by_dim = sorted(entries.items(), key=lambda kv: kv[1][0])
     vertices = {}
+    seen_vertices = set()
     for key, (dim, verts, boundary) in by_dim:
         if dim == -1:
-            if key != _EMPTY_KEY or boundary:
-                raise InvalidComplexError("the empty face is implicit")
             vertices[key] = frozenset()
             continue
         if dim == 0:
-            if verts is None or len(verts) != 1:
-                raise InvalidComplexError(f"face {key!r}: a vertex needs exactly one vertex index")
             v = next(iter(verts))
             if not 0 <= v < len(labels):
                 raise InvalidComplexError(f"vertex index {v} out of range")
+            if v in seen_vertices:
+                raise InvalidComplexError(f"vertex index {v} declared twice")
+            seen_vertices.add(v)
             vertices[key] = frozenset(verts)
             continue
         sub_verts = set()
@@ -141,20 +145,7 @@ def _build_complex(labels, entries) -> LabeledComplex:
             raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
         vertices[key] = frozenset(sub_verts)
 
-    if _EMPTY_KEY not in entries:
-        raise InvalidComplexError("missing empty face")
-    seen_vertices = set()
-    for key, (dim, _, boundary) in entries.items():
-        if dim == 0:
-            if tuple(boundary) != ((_EMPTY_KEY, 1),):
-                raise InvalidComplexError(f"vertex {key!r} must bound the empty face with sign +1")
-            v = next(iter(vertices[key]))
-            if v in seen_vertices:
-                raise InvalidComplexError(f"vertex index {v} declared twice")
-            seen_vertices.add(v)
-
-    # two boundary steps must cancel (checked on ids below is equivalent,
-    # but keys are still around here and the message is better)
+    # two boundary steps must cancel; checked on keys for a better message
     for key, (dim, _, boundary) in entries.items():
         if dim < 1:
             continue
@@ -177,9 +168,12 @@ def _build_complex(labels, entries) -> LabeledComplex:
             boundary=tuple(sorted((ids[sk], s) for sk, s in boundary)),
             label=lcm_many((labels[v] for v in vertices[key]), labels[0].nvars if labels else 0),
         ))
-    faces = tuple(faces)
+    return _assemble(labels, tuple(faces))
 
-    max_dim = max(f.dim for f in faces)
+
+def _assemble(labels, faces) -> LabeledComplex:
+    """Grades and facets of canonically ordered faces (ids 0, 1, ...)."""
+    max_dim = faces[-1].dim
     grades = tuple(tuple(f for f in faces if f.dim == k - 1) for k in range(max_dim + 2))
     bounded = {i for f in faces for i, _ in f.boundary}
     facet_ids = tuple(f.id for f in faces if f.dim >= 0 and f.id not in bounded)
@@ -193,18 +187,12 @@ def simplicial_from_facets(labels, facets) -> LabeledComplex:
     (-1)^j.
     """
     subsets = {_EMPTY_KEY}
-    nlabels = len(labels)
-    any_facet = False
     for facet in facets:
         vs = tuple(sorted(set(facet)))
         if not vs:
             raise InvalidComplexError("empty facet")
-        for v in vs:
-            if not 0 <= v < nlabels:
-                raise InvalidComplexError(f"vertex index {v} out of range")
-        any_facet = True
         _add_subsets(subsets, vs)
-    if not any_facet:
+    if len(subsets) == 1:
         raise InvalidComplexError("no facets given")
 
     entries = {_EMPTY_KEY: (-1, None, ())}
@@ -227,23 +215,6 @@ def _add_subsets(subsets, vs):
     if len(vs) > 1:
         for j in range(len(vs)):
             _add_subsets(subsets, vs[:j] + vs[j + 1:])
-
-
-def simplicial_from_faces(labels, face_sets) -> LabeledComplex:
-    """Build from an explicit subset-closed family of vertex sets.
-
-    Raises InvalidComplexError if the family is not closed under taking
-    subsets.
-    """
-    given = {tuple(sorted(set(f))) for f in face_sets}
-    given.discard(_EMPTY_KEY)
-    maximal = [t for t in given if not any(t != u and set(t) <= set(u) for u in given)]
-    complex_ = simplicial_from_facets(labels, maximal)
-    closure = {tuple(sorted(f.vertices)) for f in complex_.faces if f.dim >= 0}
-    if closure != given:
-        missing = sorted(closure - given)
-        raise InvalidComplexError(f"face family not closed under subsets; missing {missing}")
-    return complex_
 
 
 def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
@@ -281,16 +252,27 @@ def taylor_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
 
 
 def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
-    """Subcomplex of the faces whose label divides z^beta."""
+    """Subcomplex of the faces whose label divides z^beta.
+
+    A boundary face g of a face f has its vertices among f's, and labels
+    are lcms of vertex labels, so label(g) divides label(f).  The kept
+    faces are thus closed under boundaries: with X's incidences and
+    signs they are a valid complex, so nothing is validated again.  A
+    subsequence of X's canonical (dim, sorted vertices) order is
+    canonical, so the kept faces are renumbered in X's order.
+    """
     if X.labels and beta.nvars != X.nvars:
         raise DimensionMismatch(f"{beta.nvars} variables vs {X.nvars}")
-    entries = {}
+    b = beta.exps
+    ids = {}
+    faces = []
     for f in X.faces:
-        if f.label.divides(beta):
-            verts = f.vertices if f.dim >= 0 else None
-            entries[f.id if f.dim >= 0 else _EMPTY_KEY] = (f.dim, verts, tuple(
-                (sid if X.faces[sid].dim >= 0 else _EMPTY_KEY, s) for sid, s in f.boundary))
-    return _build_complex(X.labels, entries)
+        if all(e <= c for e, c in zip(f.label.exps, b)):
+            k = ids[f.id] = len(faces)
+            if f.id != k:
+                f = Face(k, f.vertices, f.dim, tuple((ids[i], s) for i, s in f.boundary), f.label)
+            faces.append(f)
+    return _assemble(X.labels, tuple(faces))
 
 
 def boundary_matrix(X: LabeledComplex, k: int):

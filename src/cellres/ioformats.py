@@ -20,7 +20,7 @@ import json
 import re
 
 from cellres.complexes import LabeledComplex, polyhedral_from_incidence, simplicial_from_facets
-from cellres.errors import ParseError
+from cellres.errors import ParseError, PreconditionError
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
 
 SCHEMA_VERSION = 1
@@ -168,15 +168,20 @@ def _parse_ideal_json(text: str):
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
     try:
         nvars = int(doc["nvars"])
-        raw = doc["generators"]
+        raw = list(doc["generators"])
+        names = tuple(doc.get("vars") or default_var_names(nvars))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"ideal document needs 'nvars' and 'generators': {exc}") from None
+        raise ParseError(f"ideal document needs 'nvars', 'generators' and an optional "
+                         f"'vars' list: {exc}") from None
     gens = []
     for vec in raw:
-        if len(vec) != nvars or any(int(e) < 0 for e in vec):
+        try:
+            exps = tuple(int(e) for e in vec)
+        except (TypeError, ValueError):
+            exps = None
+        if exps is None or len(exps) != nvars or any(e < 0 for e in exps):
             raise ParseError(f"bad exponent vector {vec!r}")
-        gens.append(Monomial(int(e) for e in vec))
-    names = tuple(doc.get("vars") or default_var_names(nvars))
+        gens.append(Monomial(exps))
     if len(names) != nvars:
         raise ParseError("'vars' length does not match 'nvars'")
     return _finish_ideal(nvars, gens, names)
@@ -197,16 +202,21 @@ def parse_complex(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    if "labels" not in doc:
+    if not isinstance(doc, dict) or "labels" not in doc:
         raise ParseError("complex document needs 'labels'")
-    labels = [Monomial(int(e) for e in vec) for vec in doc["labels"]]
-    names = tuple(doc["vars"]) if doc.get("vars") else None
-    if "facets" in doc:
-        X = simplicial_from_facets(labels, [tuple(map(int, f)) for f in doc["facets"]])
-    elif "faces" in doc:
-        X = polyhedral_from_incidence(labels, doc["faces"])
-    else:
+    if "facets" not in doc and "faces" not in doc:
         raise ParseError("complex document needs 'facets' or 'faces'")
+    try:
+        labels = [Monomial(int(e) for e in vec) for vec in doc["labels"]]
+        names = tuple(doc["vars"]) if doc.get("vars") else None
+        if "facets" in doc:
+            X = simplicial_from_facets(labels, [tuple(map(int, f)) for f in doc["facets"]])
+        else:
+            X = polyhedral_from_incidence(labels, doc["faces"])
+    except PreconditionError:
+        raise  # well-formed data that is not a valid complex
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed complex document: {type(exc).__name__} {exc}") from None
     return X, names
 
 

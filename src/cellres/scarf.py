@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_faces
+from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_facets
 from cellres.errors import CapExceededError, PreconditionError, VerificationError
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
 
@@ -21,9 +21,9 @@ def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
     """Subsets of generators whose lcm is attained by no other subset.
 
     Grouped by lcm exponent vector in one pass over all 2^r subsets;
-    singleton classes survive.  The result is asserted to be closed
-    under subsets and of dimension at most n-1 (theorems for any M, so
-    violations signal a bug).
+    singleton classes survive.  The kept subsets are closed under taking
+    subsets and the result has dimension at most n-1 (theorems for any
+    M), so a closure larger than kept + the empty face signals a bug.
     """
     M.require_nonzero()
     if M.is_unit():
@@ -54,7 +54,9 @@ def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
         if s > 0:
             kept.append(tuple(i for i in range(r) if s >> i & 1))
 
-    X = simplicial_from_faces(M.gens, kept)
+    X = simplicial_from_facets(M.gens, kept)
+    if len(X.faces) != len(kept) + 1:
+        raise VerificationError(f"{len(kept)} Scarf faces not closed under subsets")
     if X.dim > M.nvars - 1:
         raise VerificationError("Scarf complex dimension exceeds n-1")
     return X
@@ -130,14 +132,18 @@ class ScarfPair:
 def scarf_pairs(M: MonomialIdeal, D: int | None = None, cap: int = VERTEX_CAP):
     """(K, tau) pairs for the facets of the ghosted Scarf complex."""
     gh = star_ideal(M, D)
-    delta = scarf_complex(gh.star, cap)
+    return facet_pairs(gh, scarf_complex(gh.star, cap))
+
+
+def facet_pairs(gh: GhostedIdeal, delta: LabeledComplex):
+    """(K, tau) pairs for the facets of delta, the Scarf complex of gh.star."""
     ghost_var = {p: i for i, p in gh.ghost_positions.items()}
     base_idx = {p: b for b, p in gh.base_positions.items()}
 
     pairs = []
     for facet in delta.facets():
         verts = facet.vertices
-        K = frozenset(i for i in range(M.nvars) if gh.ghost_positions.get(i) not in verts)
+        K = frozenset(i for i in range(gh.base.nvars) if gh.ghost_positions.get(i) not in verts)
         tau = frozenset(base_idx[p] for p in verts if p in base_idx)
         if not all(p in base_idx or p in ghost_var for p in verts):
             raise VerificationError(f"facet {sorted(verts)} has a vertex that is neither "

@@ -4,18 +4,26 @@ import random
 import pytest
 
 from cellres.complexes import (
+    _build_complex,
     is_acyclic,
     lcm_lattice,
     polyhedral_from_incidence,
     reduced_homology_ranks,
     restrict_leq,
     simplicial_from_facets,
-    simplicial_from_faces,
     taylor_complex,
 )
 from cellres.errors import CapExceededError, InvalidComplexError
 from cellres.monomial import Monomial
-from conftest import five_gen_nongeneric, hull_specs, mk, random_ideal, xy_square
+from cellres.scarf import scarf_complex
+from conftest import (
+    five_gen_nongeneric,
+    hull_specs,
+    mk,
+    random_generic_ideal,
+    random_ideal,
+    xy_square,
+)
 
 
 def labels(*exps):
@@ -134,6 +142,59 @@ def test_restrict_equals_induced_subcomplex():
             assert got == induced
 
 
+def rebuilt_restriction(X, beta):
+    """Oracle: X<=beta rebuilt from a face table (the empty face under
+    the key ()) and validated all over again."""
+    entries = {}
+    for f in X.faces:
+        if f.label.divides(beta):
+            key = f.id if f.dim >= 0 else ()
+            boundary = tuple((sid if X.face(sid).dim >= 0 else (), s) for sid, s in f.boundary)
+            entries[key] = (f.dim, f.vertices if f.dim >= 0 else None, boundary)
+    return _build_complex(X.labels, entries)
+
+
+def assert_filter_matches_rebuild(X):
+    for beta in lcm_lattice(X):
+        got, want = restrict_leq(X, beta), rebuilt_restriction(X, beta)
+        assert got.labels == want.labels
+        assert [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in got.faces] == \
+            [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in want.faces]
+        assert [f.id for f in got.facets()] == [f.id for f in want.facets()]
+        assert [len(got.grade(k)) for k in range(got.num_grades)] == \
+            [len(want.grade(k)) for k in range(want.num_grades)]
+
+
+def antichain_ideal(rng, n, r, degree=8):
+    """r distinct monomials of one total degree: all of them are minimal
+    generators, and ties between their exponents are common (non-generic)."""
+    points = set()
+    while len(points) < r:
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        points.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree])))
+    return mk(n, *points)
+
+
+def test_restrict_matches_rebuild_on_taylor_and_scarf():
+    rng = random.Random(37)
+    sizes = [(1, 1)] + [(n, r) for n in (2, 3, 4) for r in (2, 5, 8)] * 2
+    for n, r in sizes:
+        M = antichain_ideal(rng, n, r)
+        assert M.num_gens == r
+        assert_filter_matches_rebuild(taylor_complex(M))
+        assert_filter_matches_rebuild(scarf_complex(M))
+        G = random_generic_ideal(rng, n, r, artinian=n <= r and rng.random() < 0.5)
+        assert_filter_matches_rebuild(scarf_complex(G))
+
+
+def test_restrict_matches_rebuild_on_polyhedral():
+    M = five_gen_nongeneric()
+    quad = [s for s in hull_specs() if s["id"] in
+            {"v0", "v1", "v3", "v4", "e01", "e13", "e34", "e04", "Q"}]
+    assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, quad))
+    assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, hull_specs()))
+
+
 def test_homology_simplex_boundaries():
     # hollow d-simplex is a (d-1)-sphere
     for d in (1, 2, 3):
@@ -203,11 +264,6 @@ def test_lcm_lattice_cap():
     with pytest.raises(CapExceededError):
         lcm_lattice(X)
     assert len(lcm_lattice(X, cap=21)) > 0
-
-
-def test_simplicial_from_faces_closure_check():
-    with pytest.raises(InvalidComplexError):
-        simplicial_from_faces(L3, [(0,), (1,), (2,), (0, 1, 2)])
 
 
 def test_vertex_index_out_of_range():

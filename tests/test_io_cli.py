@@ -344,3 +344,56 @@ def test_cli_verify_builds_scarf_complex_once(tmp_path, capsys, monkeypatch):
     assert checks["minimal-equals-brute"]["passed"] is checks["duality-exact"]["passed"] is False
     assert checks["minimal-equals-brute"]["detail"] == checks["duality-exact"]["detail"]
     assert "exceeds the vertex cap 3" in checks["duality-exact"]["detail"]
+
+
+def test_cli_scarf_star_builds_ghosted_complex_once(tmp_path, capsys, monkeypatch):
+    import cellres.cli
+    import cellres.scarf
+    from cellres.ioformats import pairs_doc
+    from cellres.scarf import scarf_pairs
+
+    calls = []
+
+    def counting(name, original):
+        def wrapper(M, *args, **kwargs):
+            calls.append(name)
+            return original(M, *args, **kwargs)
+        return wrapper
+
+    ideals = [three_gen_nonartinian(), mk(3, (2, 1, 0), (0, 3, 1), (1, 0, 2))]
+    expected = [pairs_doc(scarf_pairs(M), None, M.nvars) for M in ideals]
+    for module in (cellres.cli, cellres.scarf):
+        for name in ("star_ideal", "scarf_complex"):
+            monkeypatch.setattr(module, name, counting(name, getattr(cellres.scarf, name)))
+    for k, M in enumerate(ideals):
+        calls.clear()
+        path = _write(tmp_path, f"m{k}.txt", ideal_text(M))
+        assert main(["scarf", path, "--star", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] == expected[k]
+        assert sorted(calls) == ["scarf_complex", "star_ideal"]
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("ideal", {"nvars": 2, "generators": [[1, "a"]]}),
+    ("ideal", {"nvars": 2, "generators": [3]}),
+    ("complex", {"labels": [[0, -1]], "facets": [[0]]}),
+    ("complex", {"labels": [[2, 0], [0, 2]], "facets": [[0, "x"]]}),
+    ("complex", {"labels": [[2, 0]], "faces": [{"id": "v", "vertex": 0}]}),
+], ids=["generator-entry", "generator-not-list", "negative-label", "facet-entry", "face-without-dim"])
+def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, kind, doc):
+    bad = _write(tmp_path, "bad.json", json.dumps(doc))
+    if kind == "ideal":
+        argv = ["check", bad]
+    else:
+        argv = ["resolve", _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, y^2\n"), "--complex", bad]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_invalid_complex_stays_a_precondition_error(tmp_path, capsys):
+    # well-formed JSON whose facet names a vertex without a label
+    bad = _write(tmp_path, "bad.json", json.dumps({"labels": [[2, 0], [0, 2]], "facets": [[0, 5]]}))
+    ideal = _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, y^2\n")
+    assert main(["resolve", ideal, "--complex", bad]) == 3
+    assert capsys.readouterr().err == "error: vertex index 5 out of range\n"

@@ -67,7 +67,7 @@ def test_single_generator_scarf():
 def test_scarf_matches_oracle_randomly():
     rng = random.Random(201)
     for _ in range(25):
-        M = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 5), maxdeg=4)
+        M = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 8), maxdeg=4)
         assert faces_of(scarf_complex(M)) == brute_scarf_faces(M)
 
 
@@ -196,3 +196,23 @@ def test_scarf_pairs_unknown_vertex_raises(monkeypatch):
     monkeypatch.setattr(cellres.scarf, "star_ideal", lose_a_base_position)
     with pytest.raises(VerificationError, match="neither a base generator nor a ghost"):
         scarf_pairs(three_gen_nonartinian())
+
+
+def test_scarf_closure_check_is_a_verification_error(tmp_path, capsys, monkeypatch):
+    import cellres.scarf
+    from cellres.cli import main
+    from cellres.ioformats import ideal_text
+
+    real = cellres.scarf.simplicial_from_facets
+
+    def one_face_too_many(labels, facets):
+        # the edge {y^2, x^2} of (y^2, xy, x^2) shares its lcm with the triangle
+        return real(labels, [*facets, (0, 2)])
+
+    monkeypatch.setattr(cellres.scarf, "simplicial_from_facets", one_face_too_many)
+    with pytest.raises(VerificationError, match="not closed under subsets"):
+        scarf_complex(xy_square())
+    path = tmp_path / "m.txt"
+    path.write_text(ideal_text(xy_square()))
+    assert main(["scarf", str(path)]) == 5
+    assert "not closed under subsets" in capsys.readouterr().err
