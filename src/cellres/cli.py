@@ -302,6 +302,12 @@ def _cmd_verify(args):
     return doc, "\n".join(lines) + "\n", (EXIT_OK if all_passed else EXIT_INTERNAL)
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
+    return int(text)
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="cellres",
@@ -312,8 +318,8 @@ def _parser():
     def common(sp, formats=("text", "json")):
         sp.add_argument("ideal", help="ideal file (text or JSON), or '-' for stdin")
         sp.add_argument("--format", choices=formats, default=formats[0])
-        sp.add_argument("--cap-vertices", type=int, default=VERTEX_CAP, metavar="N",
-                        help="refuse subset enumerations past N vertices")
+        sp.add_argument("--cap-vertices", type=_positive_int, default=VERTEX_CAP, metavar="N",
+                        help="refuse complexes and lcm lattices on more than N vertices")
         return sp
 
     common(sub.add_parser("check", help="parse an ideal and report basic properties"))

@@ -22,8 +22,8 @@ from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexEr
 from cellres.monomial import Monomial, MonomialIdeal, lcm_many
 from cellres.rank import matrix_rank
 
-# Enumerations over vertex subsets (lcm lattice, Scarf complexes, Taylor
-# complexes) refuse to run past this many vertices unless overridden.
+# Taylor complexes and lcm lattices enumerate vertex subsets; they and
+# Scarf complexes refuse to run past this many vertices unless overridden.
 VERTEX_CAP = 20
 
 _EMPTY_KEY = ()
@@ -227,19 +227,26 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
     entries = {_EMPTY_KEY: (-1, None, ())}
     for spec in face_specs:
         key = spec["id"]
-        dim = int(spec["dim"])
+        dim = _int(spec["dim"])
         if isinstance(key, tuple):
             raise InvalidComplexError("face ids must be strings or integers")
         if key in entries:
             raise InvalidComplexError(f"duplicate face id {key!r}")
         if dim == 0:
-            entries[key] = (0, frozenset((int(spec["vertex"]),)), ((_EMPTY_KEY, 1),))
+            entries[key] = (0, frozenset((_int(spec["vertex"]),)), ((_EMPTY_KEY, 1),))
         elif dim >= 1:
-            boundary = tuple((b, int(s)) for b, s in spec["boundary"])
+            boundary = tuple((b, _int(s)) for b, s in spec["boundary"])
             entries[key] = (dim, None, boundary)
         else:
             raise InvalidComplexError("the empty face is implicit")
     return _build_complex(labels, entries)
+
+
+def _int(v) -> int:
+    # face specs usually come from JSON, where a float or bool would truncate
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, found {v!r}")
+    return v
 
 
 def taylor_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:

@@ -161,29 +161,51 @@ def parse_ideal(text: str):
     return _finish_ideal(len(names), gens, names)
 
 
+def _ints(values) -> tuple:
+    """A JSON array of integers; floats and booleans would truncate silently."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"expected a list of integers, found {values!r}")
+    return tuple(values)
+
+
+def _json_names(names, nvars):
+    """Validate a JSON 'vars' list by the text form's rules."""
+    if not isinstance(names, list) or not all(
+            isinstance(v, str) and _NAME_RE.fullmatch(v) for v in names):
+        raise ParseError(f"'vars' must be a list of variable names, found {names!r}")
+    if len(set(names)) != len(names):
+        raise ParseError("repeated variable name")
+    if len(names) != nvars:
+        raise ParseError("'vars' length does not match 'nvars'")
+    return tuple(names)
+
+
 def _parse_ideal_json(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
     try:
-        nvars = int(doc["nvars"])
-        raw = list(doc["generators"])
-        names = tuple(doc.get("vars") or default_var_names(nvars))
-    except (KeyError, TypeError, ValueError) as exc:
+        nvars = doc["nvars"]
+        raw = doc["generators"]
+        names = doc.get("vars")
+    except KeyError as exc:
         raise ParseError(f"ideal document needs 'nvars', 'generators' and an optional "
                          f"'vars' list: {exc}") from None
+    if type(nvars) is not int or nvars < 0:
+        raise ParseError(f"'nvars' must be a non-negative integer, found {nvars!r}")
+    if not isinstance(raw, list):
+        raise ParseError(f"'generators' must be a list, found {raw!r}")
     gens = []
     for vec in raw:
         try:
-            exps = tuple(int(e) for e in vec)
-        except (TypeError, ValueError):
+            exps = _ints(vec)
+        except ValueError:
             exps = None
         if exps is None or len(exps) != nvars or any(e < 0 for e in exps):
             raise ParseError(f"bad exponent vector {vec!r}")
         gens.append(Monomial(exps))
-    if len(names) != nvars:
-        raise ParseError("'vars' length does not match 'nvars'")
+    names = default_var_names(nvars) if names is None else _json_names(names, nvars)
     return _finish_ideal(nvars, gens, names)
 
 
@@ -207,17 +229,17 @@ def parse_complex(text: str):
     if "facets" not in doc and "faces" not in doc:
         raise ParseError("complex document needs 'facets' or 'faces'")
     try:
-        labels = [Monomial(int(e) for e in vec) for vec in doc["labels"]]
-        names = tuple(doc["vars"]) if doc.get("vars") else None
+        labels = [Monomial(_ints(vec)) for vec in doc["labels"]]
         if "facets" in doc:
-            X = simplicial_from_facets(labels, [tuple(map(int, f)) for f in doc["facets"]])
+            X = simplicial_from_facets(labels, [_ints(f) for f in doc["facets"]])
         else:
             X = polyhedral_from_incidence(labels, doc["faces"])
     except PreconditionError:
         raise  # well-formed data that is not a valid complex
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed complex document: {type(exc).__name__} {exc}") from None
-    return X, names
+    names = doc.get("vars")
+    return X, (None if names is None else _json_names(names, X.nvars))
 
 
 def ideal_doc(M: MonomialIdeal, names=None) -> dict:

@@ -11,6 +11,7 @@ the original ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_facets
 from cellres.errors import CapExceededError, PreconditionError, VerificationError
@@ -20,10 +21,23 @@ from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
 def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
     """Subsets of generators whose lcm is attained by no other subset.
 
-    Grouped by lcm exponent vector in one pass over all 2^r subsets;
-    singleton classes survive.  The kept subsets are closed under taking
-    subsets and the result has dimension at most n-1 (theorems for any
-    M), so a closure larger than kept + the empty face signals a bug.
+    A nonempty subset sigma is a Scarf face iff (a) no generator m_j with
+    j not in sigma divides lcm(sigma), and (b) no m_i with i in sigma
+    divides lcm(sigma minus i).  Both are necessary: otherwise adding j,
+    or dropping i, keeps the lcm.  They suffice: if tau != sigma has the
+    same lcm, then tau is inside sigma by (a), and any i in sigma minus
+    tau has m_i | lcm(tau) | lcm(sigma minus i), which (b) forbids.
+
+    Scarf faces are closed under taking subsets, so they grow level by
+    level from the singletons (Scarf faces because the generators are
+    minimal).  Two k-faces sharing their first k-1 vertices join into a
+    candidate, kept only if all its k-subsets are faces and it passes
+    (a); its lcm is one join with a label stored for level k.  (b) then
+    holds already: sigma minus i is a Scarf face, so sigma, a different
+    subset, cannot share its lcm.  The work follows the number of faces,
+    not the 2^r subsets.  Growth stops at the first empty level, so the
+    closure count and the dimension bound n-1 (theorems for any M) stay
+    checks for bugs.
     """
     M.require_nonzero()
     if M.is_unit():
@@ -32,27 +46,26 @@ def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
     if r > cap:
         raise CapExceededError(f"{r} generators exceeds the vertex cap {cap}")
     exps = [g.exps for g in M.gens]
-    zero = (0,) * M.nvars
 
-    classes = {}
-    for s in range(1 << r):
-        acc = zero
-        bits = s
-        i = 0
-        while bits:
-            if bits & 1:
-                acc = tuple(max(a, b) for a, b in zip(acc, exps[i]))
-            bits >>= 1
-            i += 1
-        if acc in classes:
-            classes[acc] = -1
-        else:
-            classes[acc] = s
-
-    kept = []
-    for s in classes.values():
-        if s > 0:
-            kept.append(tuple(i for i in range(r) if s >> i & 1))
+    level = {(i,): e for i, e in enumerate(exps)}
+    kept = list(level)
+    while level:
+        by_prefix = {}
+        for face in sorted(level):
+            by_prefix.setdefault(face[:-1], []).append(face[-1])
+        grown = {}
+        for prefix, lasts in by_prefix.items():
+            for x, a in enumerate(lasts):
+                for b in lasts[x + 1:]:
+                    cand = prefix + (a, b)
+                    # dropping a or b gives the two faces joined; the other drops must be faces too
+                    if any(cand[:j] + cand[j + 1:] not in level for j in range(len(prefix))):
+                        continue
+                    label = tuple(map(max, level[prefix + (a,)], exps[b]))
+                    if not any(all(map(le, e, label)) for j, e in enumerate(exps) if j not in cand):
+                        grown[cand] = label
+        kept.extend(grown)
+        level = grown
 
     X = simplicial_from_facets(M.gens, kept)
     if len(X.faces) != len(kept) + 1:

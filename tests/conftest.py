@@ -109,6 +109,23 @@ def random_generic_ideal(rng, n, r, maxdeg=6, artinian=False):
         return M
 
 
+def random_antichain(rng, n, r, degree=40, generic=False):
+    """r distinct monomials of one total degree in n >= 2 variables, so
+    none divides another.  With generic=True no two share a positive
+    degree in any variable, which makes the ideal strongly generic."""
+    used = [set() for _ in range(n)]
+    gens = set()
+    while len(gens) < r:
+        cuts = sorted(rng.choices(range(degree + 1), k=n - 1))
+        e = tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+        if e in gens or generic and any(x and x in u for x, u in zip(e, used)):
+            continue
+        gens.add(e)
+        for x, u in zip(e, used):
+            u.add(x)
+    return MonomialIdeal.from_generators(n, gens)
+
+
 def random_staircase(rng, r, spread=40):
     """Artinian staircase in 2 variables: generators (a_i, b_i) with
     0 = a_1 < ... < a_r and b_1 > ... > b_r = 0.  Returns the ideal and

@@ -379,7 +379,24 @@ def test_cli_scarf_star_builds_ghosted_complex_once(tmp_path, capsys, monkeypatc
     ("complex", {"labels": [[0, -1]], "facets": [[0]]}),
     ("complex", {"labels": [[2, 0], [0, 2]], "facets": [[0, "x"]]}),
     ("complex", {"labels": [[2, 0]], "faces": [{"id": "v", "vertex": 0}]}),
-], ids=["generator-entry", "generator-not-list", "negative-label", "facet-entry", "face-without-dim"])
+    # JSON numbers must be exact integers: int() would truncate a float and read true as 1
+    ("ideal", {"nvars": 2, "generators": [[1.5, 0], [0, 1]]}),
+    ("ideal", {"nvars": 2, "generators": [[True, 0], [0, 1]]}),
+    ("ideal", {"nvars": 2.7, "generators": [[1, 0], [0, 1]]}),
+    ("ideal", {"nvars": True, "generators": [[1]]}),
+    ("complex", {"labels": [[1.9, 1], [0, 2]], "facets": [[0, 1]]}),
+    ("complex", {"labels": [[2, 0], [0, 2]], "facets": [[0, 1.7]]}),
+    ("complex", {"labels": [[2, 0]], "faces": [{"id": "v", "dim": 0, "vertex": 0.0}]}),
+    # 'vars' follows the text form's rules
+    ("ideal", {"nvars": 2, "generators": [[1, 0], [0, 1]], "vars": ["x", "x"]}),
+    ("ideal", {"nvars": 2, "generators": [[1, 0], [0, 1]], "vars": ["x y", "^"]}),
+    ("ideal", {"nvars": 2, "generators": [[1, 0], [0, 1]], "vars": "xy"}),
+    ("ideal", {"nvars": 2, "generators": [[1, 0], [0, 1]], "vars": [1, 2]}),
+    ("complex", {"labels": [[2, 0], [0, 2]], "facets": [[0, 1]], "vars": ["x", "x"]}),
+], ids=["generator-entry", "generator-not-list", "negative-label", "facet-entry", "face-without-dim",
+        "float-exponent", "bool-exponent", "float-nvars", "bool-nvars", "float-label",
+        "float-facet-vertex", "float-face-vertex", "repeated-vars", "bad-var-names",
+        "vars-string", "vars-not-strings", "complex-repeated-vars"])
 def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, kind, doc):
     bad = _write(tmp_path, "bad.json", json.dumps(doc))
     if kind == "ideal":
@@ -397,3 +414,12 @@ def test_cli_invalid_complex_stays_a_precondition_error(tmp_path, capsys):
     ideal = _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, y^2\n")
     assert main(["resolve", ideal, "--complex", bad]) == 3
     assert capsys.readouterr().err == "error: vertex index 5 out of range\n"
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "two"])
+def test_cli_cap_vertices_must_be_positive(tmp_path, capsys, cap):
+    path = _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, x*y, y^2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["scarf", path, "--cap-vertices", cap])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from cellres.scarf import scarf_complex, scarf_pairs, star_ideal
 from conftest import (
     five_gen_nongeneric,
     mk,
+    random_antichain,
     random_generic_ideal,
     random_ideal,
     random_staircase,
@@ -64,11 +65,37 @@ def test_single_generator_scarf():
     assert faces_of(X) == {(0,)}
 
 
+SCARF_FAMILIES = {
+    "random": lambda rng, r: random_ideal(rng, rng.randint(1, 4), r, maxdeg=4),
+    "generic": lambda rng, r: random_generic_ideal(rng, rng.randint(1, 4), r),
+    "generic-artinian": lambda rng, r: random_generic_ideal(rng, rng.randint(1, 4), r,
+                                                            artinian=True),
+    # the generators above minimalize to fewer than r; these keep exactly r
+    "antichain": lambda rng, r: random_antichain(rng, rng.randint(2, 4), r),
+    "generic-antichain": lambda rng, r: random_antichain(rng, rng.randint(2, 4), r, generic=True),
+}
+
+
 def test_scarf_matches_oracle_randomly():
+    # n <= 4 and r <= 10; the ghosted ideals add up to n generators
     rng = random.Random(201)
-    for _ in range(25):
-        M = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 8), maxdeg=4)
-        assert faces_of(scarf_complex(M)) == brute_scarf_faces(M)
+    for family, draw in SCARF_FAMILIES.items():
+        for r in range(1, 11):
+            for _ in range(6):
+                M = draw(rng, r)
+                if "antichain" in family:
+                    assert M.num_gens == r
+                for ideal in (M, star_ideal(M).star):
+                    assert faces_of(scarf_complex(ideal)) == brute_scarf_faces(ideal), (family, ideal)
+
+
+def test_scarf_work_follows_its_output():
+    """A 30-generator staircase gives its path; a walk over all 2^30
+    generator subsets would not finish."""
+    M, _ = random_staircase(random.Random(219), 30)
+    X = scarf_complex(M, cap=30)
+    assert len(X.grade(1)) == 30 and len(X.grade(2)) == 29 and X.dim == 1
+    assert facet_sets(X) == {frozenset({i, i + 1}) for i in range(29)}
 
 
 def test_scarf_dimension_bound():
