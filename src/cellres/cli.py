@@ -35,7 +35,7 @@ from cellres.ioformats import (
 )
 from cellres.monomial import Monomial
 from cellres.residue import VERDICT_EXACT, duality_check
-from cellres.resolution import build_complex, is_minimal, is_resolution, verify_chain
+from cellres.resolution import build_complex, verify_chain
 from cellres.scarf import facet_pairs, scarf_complex, star_ideal
 from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
 
@@ -63,13 +63,15 @@ def _load_ideal(args):
     return M, names
 
 
-def _load_complex(src, M, cap):
+def _free_complex(src, M, cap):
+    """The free complex over M on the complex src names, exactness decided."""
     if src == "scarf":
-        return scarf_complex(M, cap)
-    if src == "taylor":
-        return taylor_complex(M, cap)
-    X, _ = ioformats.parse_complex(_read_source(src))
-    return X
+        X = scarf_complex(M, cap)
+    elif src == "taylor":
+        X = taylor_complex(M, cap)
+    else:
+        X, _ = ioformats.parse_complex(_read_source(src))
+    return build_complex(X, M, cap)
 
 
 def _faces_line(X, k):
@@ -140,15 +142,12 @@ def _cmd_taylor(args):
 
 def _cmd_resolve(args):
     M, names = _load_ideal(args)
-    X = _load_complex(args.complex, M, args.cap_vertices)
-    F = build_complex(X, M)
+    F = _free_complex(args.complex, M, args.cap_vertices)
     chain_ok = verify_chain(F)
-    resolves = is_resolution(X, args.cap_vertices)
-    minimal = is_minimal(F)
     doc = {
         "chain_ok": chain_ok,
-        "is_resolution": resolves,
-        "is_minimal": minimal,
+        "is_resolution": F.exact,
+        "is_minimal": F.minimal,
         "ranks": list(F.ranks),
         "differentials": [
             [{"row": e.row, "col": e.col, "sign": e.sign, "quotient": list(e.quotient.exps)}
@@ -158,12 +157,12 @@ def _cmd_resolve(args):
     }
     lines = [
         f"chain check: {_yn(chain_ok)}",
-        f"resolution: {_yn(resolves)}",
-        f"minimal: {_yn(minimal)}",
+        f"resolution: {_yn(F.exact)}",
+        f"minimal: {_yn(F.minimal)}",
         "ranks: " + ", ".join(map(str, F.ranks)),
     ]
-    if resolves and minimal:
-        # the ranks of a minimal resolution are its Betti totals; both facts were checked above
+    if F.exact and F.minimal:
+        # the ranks of a minimal resolution are its Betti totals
         lines.append("betti ranks: " + ", ".join(map(str, F.ranks)))
     return doc, "\n".join(lines) + "\n"
 
@@ -175,8 +174,7 @@ def _cmd_decompose(args):
     elif args.method == "minimal":
         if not args.complex:
             raise PreconditionError("--method minimal needs --complex")
-        X = _load_complex(args.complex, M, args.cap_vertices)
-        dec = decompose_minimal(M, X, args.cap_vertices)
+        dec = decompose_minimal(_free_complex(args.complex, M, args.cap_vertices))
     else:
         dec = decompose_brute(M)
     doc = ioformats.decomposition_doc(dec, names)
@@ -202,8 +200,7 @@ def _cmd_residue(args):
     src = args.complex
     if src is None:
         src = "scarf" if M.is_generic() else "taylor"
-    X = _load_complex(src, M, args.cap_vertices)
-    report = duality_check(M, X, args.cap_vertices)
+    report = duality_check(_free_complex(src, M, args.cap_vertices), args.cap_vertices)
     current = report.current
     doc = {
         "complex_source": src,
@@ -243,12 +240,15 @@ def _cmd_verify(args):
         try:
             detail = fn()
             checks.append({"name": name, "passed": True, "detail": detail})
-        except (PreconditionError, CapExceededError, VerificationError) as exc:
+        except CapExceededError as exc:
+            # a check stopped by a cap did not run; it neither passed nor failed
+            checks.append({"name": name, "passed": None, "skipped": True, "detail": str(exc)})
+        except (PreconditionError, VerificationError) as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
     # each built once and shared by the checks; a failed build is retried and fails the same way
     brute = functools.cache(lambda: decompose_brute(M))
-    scarf = functools.cache(lambda: scarf_complex(M, args.cap_vertices))
+    scarf = functools.cache(lambda: _free_complex("scarf", M, args.cap_vertices))
 
     def brute_components():
         return set(brute().components)
@@ -268,14 +268,14 @@ def _cmd_verify(args):
 
         if M.is_artinian():
             def check_minimal():
-                dec = decompose_minimal(M, scarf(), args.cap_vertices)
+                dec = decompose_minimal(scarf())
                 if set(dec.components) != brute_components():
                     raise VerificationError("minimal-resolution decomposition differs from brute force")
                 return f"{len(dec.components)} components agree"
             run("minimal-equals-brute", check_minimal)
 
         def check_duality():
-            report = duality_check(M, scarf(), args.cap_vertices)
+            report = duality_check(scarf(), args.cap_vertices)
             if report.verdict != VERDICT_EXACT:
                 raise VerificationError(f"verdict {report.verdict}")
             return "annihilator bounds both equal the ideal"
@@ -283,10 +283,10 @@ def _cmd_verify(args):
 
     if M.num_gens <= 10:
         def check_taylor():
-            X = taylor_complex(M, args.cap_vertices)
-            if not verify_chain(build_complex(X, M)):
+            F = _free_complex("taylor", M, args.cap_vertices)
+            if not verify_chain(F):
                 raise VerificationError("composition of differentials is nonzero")
-            if not is_resolution(X, args.cap_vertices):
+            if not F.exact:
                 raise VerificationError("restricted subcomplex with nonzero homology")
             return "chain condition and exactness verified"
         run("taylor-resolution", check_taylor)

@@ -3,20 +3,20 @@
 A complex carries one monomial label per vertex; every face is labeled
 by the lcm of its vertex labels.  Faces are graded so that grade k holds
 the faces of dimension k-1 (grade 0 is the empty face alone, grade 1 the
-vertices).  Complexes are immutable once built, and every constructor
-validates the signed incidence structure once, where the complex
-enters: boundaries must drop exactly one dimension and the composition
-of two boundary steps must cancel.  Degree restrictions are filters of
-a validated complex, so they are selected from it, not rebuilt.
+vertices).  Complexes are immutable once built.
 
-Simplicial complexes get their orientation from the vertex order; for
-polyhedral input the caller supplies the full signed face lattice and we
-validate rather than infer signs.
+Simplicial complexes (Taylor, Scarf, JSON facets) are correct by
+construction, with orientation from the vertex order; only their input
+is checked.  Polyhedral input supplies the full signed face lattice,
+validated once at the door: boundaries drop exactly one dimension and
+two boundary steps cancel.  Degree restrictions are filters of a built
+complex, selected from it, not rebuilt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexError
 from cellres.monomial import Monomial, MonomialIdeal, lcm_many
@@ -25,9 +25,6 @@ from cellres.rank import matrix_rank
 # Taylor complexes and lcm lattices enumerate vertex subsets; they and
 # Scarf complexes refuse to run past this many vertices unless overridden.
 VERTEX_CAP = 20
-
-_EMPTY_KEY = ()
-
 
 @dataclass(frozen=True)
 class Face:
@@ -96,22 +93,22 @@ class LabeledComplex:
         return f"<LabeledComplex dim={self.dim} grade sizes={counts}>"
 
 
-def _build_complex(labels, entries) -> LabeledComplex:
-    """Validate a face table and produce the canonical complex.
-
-    ``entries`` maps key -> (dim, vertices or None, boundary list of
-    (key, sign)).  Its two callers, the constructors below, put the
-    empty face under the key () and give each vertex its one index and
-    the boundary ((), +1); higher faces derive their vertices bottom-up
-    when none are given.
-    """
+def _labels(labels) -> tuple:
     labels = tuple(m if isinstance(m, Monomial) else Monomial(m) for m in labels)
-    if labels:
-        n = labels[0].nvars
-        for m in labels:
-            if m.nvars != n:
-                raise DimensionMismatch("vertex labels have mixed variable counts")
+    if any(m.nvars != labels[0].nvars for m in labels):
+        raise DimensionMismatch("vertex labels have mixed variable counts")
+    return labels
 
+
+def _build_complex(labels, entries) -> LabeledComplex:
+    """Validate a polyhedral face table and produce the canonical complex.
+
+    ``entries`` maps key -> (dim, vertices, boundary list of (key, sign)).
+    The empty face sits under the key (); each vertex gives its one
+    index and the boundary ((), +1); higher faces give None and derive
+    their vertices bottom-up from their boundaries.
+    """
+    labels = _labels(labels)
     by_dim = sorted(entries.items(), key=lambda kv: kv[1][0])
     vertices = {}
     seen_vertices = set()
@@ -139,8 +136,6 @@ def _build_complex(labels, entries) -> LabeledComplex:
             sub_verts |= vertices[sub_key]
         if len({sk for sk, _ in boundary}) != len(boundary):
             raise InvalidComplexError(f"face {key!r}: repeated boundary face")
-        if verts is not None and frozenset(verts) != sub_verts:
-            raise InvalidComplexError(f"face {key!r}: vertex set inconsistent with boundary")
         if len(sub_verts) < dim + 1:
             raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
         vertices[key] = frozenset(sub_verts)
@@ -181,40 +176,41 @@ def _assemble(labels, faces) -> LabeledComplex:
 
 
 def simplicial_from_facets(labels, facets) -> LabeledComplex:
-    """Subset-closure of the given facets, with orientation from vertex order.
+    """Subset-closure of the given facets, correct by construction.
 
-    The boundary of a sorted simplex drops its j-th vertex with sign
-    (-1)^j.
+    Faces are numbered in canonical (dim, sorted vertices) order.  A
+    sorted simplex drops vertex j with sign (-1)^j, so two boundary steps
+    cancel; its label is max(label(face without last vertex), last vertex
+    label), that face coming earlier.  Only the input is checked.
     """
-    subsets = {_EMPTY_KEY}
-    for facet in facets:
-        vs = tuple(sorted(set(facet)))
+    closure = set()
+    # largest first, so a facet inside one already taken adds nothing
+    for vs in sorted({tuple(sorted(set(f))) for f in facets}, key=len, reverse=True):
         if not vs:
             raise InvalidComplexError("empty facet")
-        _add_subsets(subsets, vs)
-    if len(subsets) == 1:
+        if vs not in closure:
+            closure.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
+    if not closure:
         raise InvalidComplexError("no facets given")
+    labels = _labels(labels)
 
-    entries = {_EMPTY_KEY: (-1, None, ())}
-    for t in subsets:
-        if t == _EMPTY_KEY:
-            continue
+    empty = (0,) * labels[0].nvars if labels else ()
+    built = {(): (0, empty)}  # vertex tuple -> (face id, label exponents)
+    faces = [Face(0, frozenset(), -1, (), Monomial(empty))]
+    for t in sorted(closure, key=lambda t: (len(t), t)):
         if len(t) == 1:
-            entries[t] = (0, frozenset(t), ((_EMPTY_KEY, 1),))
+            if not 0 <= t[0] < len(labels):
+                raise InvalidComplexError(f"vertex index {t[0]} out of range")
+            label = labels[t[0]]
+            boundary = ((0, 1),)
         else:
-            boundary = tuple((t[:j] + t[j + 1:], (-1) ** j) for j in range(len(t)))
-            entries[t] = (len(t) - 1, frozenset(t), boundary)
-    return _build_complex(labels, entries)
-
-
-def _add_subsets(subsets, vs):
-    # closure by recursion on one dropped vertex; cheap because revisits stop early
-    if vs in subsets:
-        return
-    subsets.add(vs)
-    if len(vs) > 1:
-        for j in range(len(vs)):
-            _add_subsets(subsets, vs[:j] + vs[j + 1:])
+            label = Monomial(map(max, built[t[:-1]][1], labels[t[-1]].exps))
+            # dropping a later vertex gives an earlier face, so descending j sorts the ids
+            boundary = tuple((built[t[:j] + t[j + 1:]][0], -1 if j & 1 else 1)
+                             for j in reversed(range(len(t))))
+        built[t] = (len(faces), label.exps)
+        faces.append(Face(len(faces), frozenset(t), len(t) - 1, boundary, label))
+    return _assemble(labels, tuple(faces))
 
 
 def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
@@ -224,7 +220,7 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
     index into ``labels``, for dim 0) or "boundary" (a list of
     [face id, sign] pairs, for dim >= 1).  The empty face is implicit.
     """
-    entries = {_EMPTY_KEY: (-1, None, ())}
+    entries = {(): (-1, None, ())}
     for spec in face_specs:
         key = spec["id"]
         dim = _int(spec["dim"])
@@ -233,7 +229,7 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
         if key in entries:
             raise InvalidComplexError(f"duplicate face id {key!r}")
         if dim == 0:
-            entries[key] = (0, frozenset((_int(spec["vertex"]),)), ((_EMPTY_KEY, 1),))
+            entries[key] = (0, frozenset((_int(spec["vertex"]),)), (((), 1),))
         elif dim >= 1:
             boundary = tuple((b, _int(s)) for b, s in spec["boundary"])
             entries[key] = (dim, None, boundary)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from cellres.complexes import VERTEX_CAP, LabeledComplex
+from cellres.complexes import VERTEX_CAP
 from cellres.errors import (
     CapExceededError,
     NotArtinianError,
@@ -28,7 +28,7 @@ from cellres.errors import (
     VerificationError,
 )
 from cellres.monomial import IrreducibleIdeal, MonomialIdeal, unit_ideal
-from cellres.resolution import build_complex, is_minimal, is_resolution
+from cellres.resolution import FreeComplex
 from cellres.scarf import scarf_pairs
 
 CANDIDATE_CAP = 10 ** 6
@@ -91,19 +91,17 @@ def decompose_scarf(M: MonomialIdeal, D: int | None = None,
     return dec
 
 
-def decompose_minimal(M: MonomialIdeal, X: LabeledComplex,
-                      cap: int = VERTEX_CAP) -> Decomposition:
-    """Components from the facet labels of a minimal resolution of an
+def decompose_minimal(F: FreeComplex) -> Decomposition:
+    """Components from the facet labels of a minimal resolution F of an
     Artinian ideal."""
-    if not M.is_artinian():
+    if not F.ideal.is_artinian():
         raise NotArtinianError("minimal-resolution decomposition needs an Artinian ideal")
-    if not is_resolution(X, cap):
+    if not F.exact:
         raise NotResolutionError("the complex does not support a resolution")
-    F = build_complex(X, M)
-    if not is_minimal(F):
+    if not F.minimal:
         raise NotMinimalError("the resolution is not minimal")
-    components = tuple(sorted(IrreducibleIdeal(f.label) for f in X.facets()))
-    dec = Decomposition(M, components, METHOD_MINIMAL)
+    components = tuple(sorted(IrreducibleIdeal(f.label) for f in F.complex.facets()))
+    dec = Decomposition(F.ideal, components, METHOD_MINIMAL)
     dec.verify()
     return dec
 

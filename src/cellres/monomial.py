@@ -29,8 +29,10 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(exps)
         for e in exps:
+            if type(e) is not int:  # int() would truncate 1.5 and read True as 1
+                raise TypeError(f"exponent {e!r} in {exps!r} is not an integer")
             if e < 0:
                 raise ValueError(f"negative exponent in {exps!r}")
         self.exps = exps

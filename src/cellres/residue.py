@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 
 from cellres.complexes import VERTEX_CAP, LabeledComplex
 from cellres.decompose import decompose_brute
-from cellres.errors import LabelMismatchError, NotResolutionError, VerificationError
+from cellres.errors import NotResolutionError, VerificationError
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, unit_ideal
-from cellres.resolution import build_complex, is_minimal, is_resolution
+from cellres.resolution import FreeComplex
 from cellres.scarf import scarf_pairs
 
 ZERO = "zero"
@@ -79,14 +79,15 @@ class ResidueEntry:
 class ResidueCurrent:
     """All entries, canonically ordered and grouped by associated prime.
 
-    ``components`` is the irredundant irreducible decomposition of the
-    ideal that the associated primes were read from.
+    ``components`` is the irredundant irreducible decomposition the
+    associated primes were read from; ``minimal``, that of the resolution.
     """
 
     ideal: MonomialIdeal
     complex: LabeledComplex
     entries: tuple
     components: tuple
+    minimal: bool
 
     def by_prime(self):
         """Entries grouped by K, in canonical K order."""
@@ -100,13 +101,11 @@ class ResidueCurrent:
         return tuple(e for e in self.entries if e.status in statuses)
 
 
-def residue_current(M: MonomialIdeal, X: LabeledComplex,
-                    cap: int = VERTEX_CAP) -> ResidueCurrent:
-    """Build the (unclassified) current of M over the resolution X."""
-    if {m.exps for m in X.vertex_labels()} != {g.exps for g in M.gens}:
-        raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
-    if not is_resolution(X, cap):
+def residue_current(F: FreeComplex) -> ResidueCurrent:
+    """Build the (unclassified) current of an ideal over its resolution F."""
+    if not F.exact:
         raise NotResolutionError("the complex does not support a resolution")
+    M, X = F.ideal, F.complex
 
     components = decompose_brute(M).components
     primes = sorted({frozenset(c.support) for c in components},
@@ -127,21 +126,19 @@ def residue_current(M: MonomialIdeal, X: LabeledComplex,
                 annihilator=IrreducibleIdeal(b),
             ))
     entries.sort(key=lambda e: (len(e.K), sorted(e.K), e.face_id))
-    return ResidueCurrent(M, X, tuple(entries), components)
+    return ResidueCurrent(M, X, tuple(entries), components, F.minimal)
 
 
 def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
     """Tag every entry zero / nonzero / unknown, recording the rule."""
     M = current.ideal
-    X = current.complex
 
     generic = M.is_generic()
     pair_keys = set()
     if generic:
         pair_keys = {(p.K, p.tau) for p in scarf_pairs(M, cap=cap)}
-    artinian = M.is_artinian()
-    minimal = artinian and is_minimal(build_complex(X, M))
-    facet_ids = {f.id for f in X.facets()}
+    minimal = current.minimal and M.is_artinian()
+    facet_ids = {f.id for f in current.complex.facets()}
 
     tagged = []
     for e in current.entries:
@@ -198,15 +195,15 @@ class DualityReport:
     current: ResidueCurrent
 
 
-def duality_check(M: MonomialIdeal, X: LabeledComplex,
-                  cap: int = VERTEX_CAP) -> DualityReport:
-    """Compare the annihilator bounds of the classified current with M.
+def duality_check(F: FreeComplex, cap: int = VERTEX_CAP) -> DualityReport:
+    """Compare the annihilator bounds of F's classified current with M = F.ideal.
 
     "exact" when both bounds equal M; "consistent" when M sits strictly
     between them (some entries stayed unknown); "violated" never happens
     unless something is broken.
     """
-    current = classify(residue_current(M, X, cap), cap)
+    M = F.ideal
+    current = classify(residue_current(F), cap)
     lower, upper = annihilator_bounds(current)
     if lower == M and upper == M:
         verdict = VERDICT_EXACT

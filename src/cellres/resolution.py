@@ -2,16 +2,17 @@
 
 ``build_complex`` turns a labeled complex into the graded complex of
 free modules whose differential sends a face basis element to the
-signed sum of its boundary faces scaled by label quotients.  Exactness
-is decided combinatorially: the complex resolves the ideal iff every
-degree-restricted subcomplex is acyclic, checked over the lcm lattice.
-Minimality means no differential entry is a unit, i.e. incident faces
-never share a label.
+signed sum of its boundary faces scaled by label quotients.  It decides
+exactness and minimality once, as the ``exact`` and ``minimal`` fields
+every consumer reads.  Exactness is combinatorial: the complex resolves
+the ideal iff every degree-restricted subcomplex is acyclic, checked
+over the lcm lattice.  Minimality means no differential entry is a
+unit, i.e. incident faces never share a label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cellres.complexes import (
     VERTEX_CAP,
@@ -36,7 +37,7 @@ class DiffEntry:
 
 @dataclass(frozen=True)
 class FreeComplex:
-    """Ranks, per-grade bases (face ids), and sparse differentials.
+    """Ranks, per-grade bases (face ids), sparse differentials, exactness, minimality.
 
     ``diffs[k-1]`` is the matrix from grade k to grade k-1, rows and
     columns indexed by the canonical face order within each grade.
@@ -47,10 +48,13 @@ class FreeComplex:
     ranks: tuple
     bases: tuple
     diffs: tuple
+    exact: bool = False
+    minimal: bool = False
 
 
-def build_complex(X: LabeledComplex, M: MonomialIdeal) -> FreeComplex:
-    """Free complex supported on X over the generators of M.
+def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) -> FreeComplex:
+    """Free complex supported on X over the generators of M, exactness
+    (lcm lattice capped at ``cap`` vertices) and minimality decided.
 
     The vertex labels of X must be exactly the minimal generators.
     """
@@ -68,7 +72,8 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal) -> FreeComplex:
                 entries.append(DiffEntry(rowpos[sid], col, sign, quotient))
         entries.sort(key=lambda e: (e.col, e.row))
         diffs.append(tuple(entries))
-    return FreeComplex(M, X, ranks, bases, tuple(diffs))
+    F = FreeComplex(M, X, ranks, bases, tuple(diffs), exact=is_resolution(X, cap))
+    return replace(F, minimal=is_minimal(F))
 
 
 def verify_chain(F: FreeComplex) -> bool:
@@ -99,13 +104,13 @@ def is_minimal(F: FreeComplex) -> bool:
     return not any(e.quotient.is_unit() for diff in F.diffs for e in diff)
 
 
-def betti_ranks(F: FreeComplex, cap: int = VERTEX_CAP):
+def betti_ranks(F: FreeComplex):
     """Ranks of a minimal resolution (the graded Betti-number totals).
 
     Refuses non-minimal or non-exact complexes, whose ranks overestimate.
     """
-    if not is_minimal(F):
+    if not F.minimal:
         raise NotMinimalError("ranks of a non-minimal complex overestimate")
-    if not is_resolution(F.complex, cap):
+    if not F.exact:
         raise NotResolutionError("the complex is not exact")
     return list(F.ranks)

@@ -1,6 +1,7 @@
-"""Shared example ideals, complexes, and random generators."""
+"""Shared example ideals, complexes, random generators, and a call counter."""
 
 import itertools
+import sys
 
 from cellres.monomial import Monomial, MonomialIdeal
 
@@ -136,3 +137,28 @@ def random_staircase(rng, r, spread=40):
     M = MonomialIdeal(2, [Monomial(e) for e in gens])
     outer = [(a[i + 1], b[i]) for i in range(r - 1)]
     return M, outer
+
+
+def generic_artinian_antichain(rng, n, r, degree=40):
+    """r strongly generic monomials of one total degree plus the pure
+    powers z_i^(degree+1+i): a strongly generic Artinian ideal."""
+    gens = [g.exps for g in random_antichain(rng, n, r, degree, generic=True).gens]
+    gens += [tuple(degree + 1 + i if j == i else 0 for j in range(n)) for i in range(n)]
+    return MonomialIdeal.from_generators(n, gens)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name in every cellres module that holds it with a
+    wrapper that records each call's positional arguments; returns the
+    list of records."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, held in list(sys.modules.items()):
+        if key.startswith("cellres") and getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, counting)
+    return calls

@@ -71,7 +71,7 @@ def test_criterion_02_ghosted_example():
     from cellres.decompose import associated_primes
     primes = associated_primes(M)
     dec = {c.exponent.exps for c in decompose_scarf(M).components}
-    report = duality_check(M, scarf_complex(M))
+    report = duality_check(build_complex(scarf_complex(M), M))
     nonzero = {(tuple(sorted(e.K)), tuple(sorted(e.tau)), e.annihilator.exponent.exps)
                for e in report.current.with_status(NONZERO)}
     expected_entries = {
@@ -99,7 +99,7 @@ def test_criterion_03_staircase_family():
         F = build_complex(X, M)
         from cellres.resolution import betti_ranks
         ok = ok and betti_ranks(F) == [1, r, r - 1]
-        R = classify(residue_current(M, X))
+        R = classify(residue_current(build_complex(X, M)))
         ok = ok and len(R.entries) == r - 1
         ok = ok and sorted(e.annihilator.exponent.exps for e in R.entries) == sorted(outer)
         if not ok:
@@ -141,7 +141,7 @@ def test_criterion_05_oracle_equivalence():
             ok = False
             break
         if M.is_artinian():
-            minimal = decompose_minimal(M, scarf_complex(M))
+            minimal = decompose_minimal(build_complex(scarf_complex(M), M))
             if set(minimal.components) != set(brute.components):
                 ok = False
                 break
@@ -151,7 +151,7 @@ def test_criterion_05_oracle_equivalence():
 def test_criterion_06_duality_on_generic():
     ok = True
     for M in _generic_family(1006, 100):
-        R = classify(residue_current(M, scarf_complex(M)))
+        R = classify(residue_current(build_complex(scarf_complex(M), M)))
         lower, upper = annihilator_bounds(R)
         if not (lower == M == upper):
             ok = False
@@ -249,8 +249,8 @@ def test_criterion_10_nonzero_lower_bound():
         n = rng.randint(1, 3)
         M = random_generic_ideal(rng, n, rng.randint(n, 6), artinian=True)
         ncomp = len(decompose_brute(M).components)
-        scarf_R = classify(residue_current(M, scarf_complex(M)))
-        taylor_R = classify(residue_current(M, taylor_complex(M)))
+        scarf_R = classify(residue_current(build_complex(scarf_complex(M), M)))
+        taylor_R = classify(residue_current(build_complex(taylor_complex(M), M)))
         if scarf_R.with_status(UNKNOWN) or taylor_R.with_status(UNKNOWN):
             ok = False
             break
@@ -262,7 +262,7 @@ def test_criterion_10_nonzero_lower_bound():
             break
     M5 = five_gen_nongeneric()
     hull = polyhedral_from_incidence(M5.gens, hull_specs())
-    R = classify(residue_current(M5, hull))
+    R = classify(residue_current(build_complex(hull, M5)))
     ok = ok and not R.with_status(UNKNOWN)
     ok = ok and len(R.with_status(NONZERO)) == len(decompose_brute(M5).components)
     _report(10, ok, "completed classifications: nonzero count >= components, = when minimal")

@@ -13,9 +13,9 @@ from cellres.complexes import (
     simplicial_from_facets,
     taylor_complex,
 )
-from cellres.errors import CapExceededError, InvalidComplexError
+from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexError
 from cellres.monomial import Monomial
-from cellres.scarf import scarf_complex
+from cellres.scarf import scarf_complex, star_ideal
 from conftest import (
     five_gen_nongeneric,
     hull_specs,
@@ -150,19 +150,22 @@ def rebuilt_restriction(X, beta):
         if f.label.divides(beta):
             key = f.id if f.dim >= 0 else ()
             boundary = tuple((sid if X.face(sid).dim >= 0 else (), s) for sid, s in f.boundary)
-            entries[key] = (f.dim, f.vertices if f.dim >= 0 else None, boundary)
+            entries[key] = (f.dim, f.vertices if f.dim == 0 else None, boundary)
     return _build_complex(X.labels, entries)
+
+
+def assert_same_complex(got, want):
+    assert got.labels == want.labels
+    assert [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in got.faces] == \
+        [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in want.faces]
+    assert [f.id for f in got.facets()] == [f.id for f in want.facets()]
+    assert [len(got.grade(k)) for k in range(got.num_grades)] == \
+        [len(want.grade(k)) for k in range(want.num_grades)]
 
 
 def assert_filter_matches_rebuild(X):
     for beta in lcm_lattice(X):
-        got, want = restrict_leq(X, beta), rebuilt_restriction(X, beta)
-        assert got.labels == want.labels
-        assert [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in got.faces] == \
-            [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in want.faces]
-        assert [f.id for f in got.facets()] == [f.id for f in want.facets()]
-        assert [len(got.grade(k)) for k in range(got.num_grades)] == \
-            [len(want.grade(k)) for k in range(want.num_grades)]
+        assert_same_complex(restrict_leq(X, beta), rebuilt_restriction(X, beta))
 
 
 def antichain_ideal(rng, n, r, degree=8):
@@ -193,6 +196,64 @@ def test_restrict_matches_rebuild_on_polyhedral():
             {"v0", "v1", "v3", "v4", "e01", "e13", "e34", "e04", "Q"}]
     assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, quad))
     assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, hull_specs()))
+
+
+def validated_simplicial(labels, facets):
+    """Oracle: the subset closure of the facets as a face table with
+    (-1)^j boundaries, validated by the polyhedral route, which derives
+    vertex sets from boundaries, checks d.d = 0 on keys and takes every
+    label as an lcm of vertex labels."""
+    closure = set()
+    for facet in facets:
+        vs = tuple(sorted(set(facet)))
+        closure.update(c for k in range(1, len(vs) + 1) for c in itertools.combinations(vs, k))
+    entries = {(): (-1, None, ())}
+    for t in closure:
+        if len(t) == 1:
+            entries[t] = (0, frozenset(t), (((), 1),))
+        else:
+            boundary = tuple((t[:j] + t[j + 1:], (-1) ** j) for j in range(len(t)))
+            entries[t] = (len(t) - 1, None, boundary)
+    return _build_complex(labels, entries)
+
+
+def assert_matches_validated(X):
+    assert_same_complex(X, validated_simplicial(X.labels, [f.vertices for f in X.facets()]))
+
+
+def test_simplicial_matches_validated_route_on_random_facets():
+    rng = random.Random(47)
+    for _ in range(200):
+        nv, n = rng.randint(1, 7), rng.randint(1, 4)
+        lab = [Monomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(nv)]
+        facets = [rng.sample(range(nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 4))]
+        assert_same_complex(simplicial_from_facets(lab, facets), validated_simplicial(lab, facets))
+
+
+def test_simplicial_matches_validated_route_on_taylor_and_scarf():
+    rng = random.Random(53)
+    for n, r in [(n, r) for n in (1, 2, 3, 4) for r in (1, 3, 5, 8, 10)] * 2:
+        ideals = [random_ideal(rng, n, r, maxdeg=4),
+                  random_generic_ideal(rng, n, r, artinian=n <= r and rng.random() < 0.5)]
+        if n > 1 and r <= 8:
+            ideals.append(antichain_ideal(rng, n, r))  # r distinct points of degree 8
+        for M in ideals:
+            if M.num_gens <= 8:
+                assert_matches_validated(taylor_complex(M))
+            assert_matches_validated(scarf_complex(M))
+            assert_matches_validated(scarf_complex(star_ideal(M).star))
+
+
+@pytest.mark.parametrize("labs, facets, error", [
+    (L3, [(0, 1), ()], InvalidComplexError),
+    (L3, [], InvalidComplexError),
+    (L3, [(0, 3)], InvalidComplexError),
+    (L3, [(-1, 0)], InvalidComplexError),
+    (labels((1, 0), (0, 1, 0)), [(0, 1)], DimensionMismatch),
+], ids=["empty-facet", "no-facets", "vertex-too-large", "negative-vertex", "mixed-nvars"])
+def test_simplicial_checks_its_input(labs, facets, error):
+    with pytest.raises(error):
+        simplicial_from_facets(labs, facets)
 
 
 def test_homology_simplex_boundaries():

@@ -20,6 +20,7 @@ from cellres.errors import (
     VerificationError,
 )
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
+from cellres.resolution import build_complex
 from cellres.scarf import scarf_complex
 from conftest import (
     five_gen_nongeneric,
@@ -64,26 +65,26 @@ def test_scarf_refuses_nongeneric():
 def test_minimal_on_hull_complex():
     M = five_gen_nongeneric()
     hull = polyhedral_from_incidence(M.gens, hull_specs())
-    dec = decompose_minimal(M, hull)
+    dec = decompose_minimal(build_complex(hull, M))
     assert exps(dec) == [(1, 2, 1), (2, 1, 2)]
 
 
 def test_minimal_single_generator_one_variable():
     M = mk(1, (4,))
     X = simplicial_from_facets(M.gens, [(0,)])
-    assert exps(decompose_minimal(M, X)) == [(4,)]
+    assert exps(decompose_minimal(build_complex(X, M))) == [(4,)]
 
 
 def test_minimal_rejects_non_artinian():
     M = three_gen_nonartinian()
     with pytest.raises(NotArtinianError):
-        decompose_minimal(M, scarf_complex(M))
+        decompose_minimal(build_complex(scarf_complex(M), M))
 
 
 def test_minimal_rejects_non_minimal_complex():
     M = xy_square()
     with pytest.raises(NotMinimalError):
-        decompose_minimal(M, taylor_complex(M))
+        decompose_minimal(build_complex(taylor_complex(M), M))
 
 
 def test_minimal_agrees_with_scarf_on_artinian_generic():
@@ -92,7 +93,7 @@ def test_minimal_agrees_with_scarf_on_artinian_generic():
         n = rng.randint(1, 3)
         M = random_generic_ideal(rng, n, rng.randint(n, 6), artinian=True)
         a = decompose_scarf(M)
-        b = decompose_minimal(M, scarf_complex(M))
+        b = decompose_minimal(build_complex(scarf_complex(M), M))
         assert set(a.components) == set(b.components)
 
 

@@ -18,7 +18,9 @@ from cellres.ioformats import (
 from cellres.monomial import Monomial
 from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
 from conftest import (
+    count_calls,
     five_gen_nongeneric,
+    generic_artinian_antichain,
     hull_specs,
     mk,
     random_generic_ideal,
@@ -276,7 +278,6 @@ def _generic_artinian_paths(tmp_path):
 
 
 def test_cli_resolve_checks_exactness_once(tmp_path, capsys, monkeypatch):
-    import cellres.cli
     import cellres.resolution
 
     calls = []
@@ -286,7 +287,6 @@ def test_cli_resolve_checks_exactness_once(tmp_path, capsys, monkeypatch):
         calls.append(X)
         return original(X, *args, **kwargs)
 
-    monkeypatch.setattr(cellres.cli, "is_resolution", counting)
     monkeypatch.setattr(cellres.resolution, "is_resolution", counting)
     for path in _generic_artinian_paths(tmp_path):
         calls.clear()
@@ -296,6 +296,37 @@ def test_cli_resolve_checks_exactness_once(tmp_path, capsys, monkeypatch):
         assert "resolution: yes" in lines and "minimal: yes" in lines
         ranks = next(line for line in lines if line.startswith("ranks: "))
         assert lines[-1] == "betti " + ranks
+
+
+@pytest.mark.parametrize("command", ["verify", "residue"])
+def test_cli_decides_exactness_once(tmp_path, capsys, monkeypatch, command):
+    # 12 generators: verify skips its Taylor check, so the Scarf complex is the only one
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "is_resolution")
+    rng = random.Random(61)
+    for k in range(3):
+        M = generic_artinian_antichain(rng, 3, 9)
+        assert M.num_gens == 12
+        path = _write(tmp_path, f"a{k}.txt", ideal_text(M))
+        calls.clear()
+        assert main([command, path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
+def test_cli_verify_decides_each_complex_once(tmp_path, capsys, monkeypatch):
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "is_resolution")
+    for path in _generic_artinian_paths(tmp_path):
+        calls.clear()
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        # the Scarf complex, shared by two checks, then the Taylor complex (a full simplex)
+        assert len(calls) == 2
+        scarf, taylor = (X for X, *_ in calls)
+        assert scarf.dim == 2 and taylor.dim == len(taylor.vertices()) - 1 > 2
 
 
 @pytest.mark.parametrize("method", ["scarf", "minimal", "brute"])
@@ -336,14 +367,18 @@ def test_cli_verify_builds_scarf_complex_once(tmp_path, capsys, monkeypatch):
         doc = json.loads(capsys.readouterr().out)
         assert {"minimal-equals-brute", "duality-exact"} <= {c["name"] for c in doc["checks"]}
         assert len(calls) == 1
-    # a build past the cap fails both checks that share it, with the same message
+    # a build past the cap skips both checks that share it, with the same message;
+    # the checks that ran decide the verdict and the exit code
     calls.clear()
-    assert main(["verify", paths[0], "--cap-vertices", "3", "--format", "json"]) == 5
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert main(["verify", paths[0], "--cap-vertices", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in doc["checks"]}
     assert len(calls) == 2
-    assert checks["minimal-equals-brute"]["passed"] is checks["duality-exact"]["passed"] is False
+    for name in ("minimal-equals-brute", "duality-exact"):
+        assert checks[name]["passed"] is None and checks[name]["skipped"] is True
     assert checks["minimal-equals-brute"]["detail"] == checks["duality-exact"]["detail"]
     assert "exceeds the vertex cap 3" in checks["duality-exact"]["detail"]
+    assert checks["brute-decomposition"]["passed"] is True and doc["all_passed"] is True
 
 
 def test_cli_scarf_star_builds_ghosted_complex_once(tmp_path, capsys, monkeypatch):

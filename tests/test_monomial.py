@@ -200,6 +200,18 @@ def test_ideal_constructor_contracts():
         Z.max_degrees()
 
 
+@pytest.mark.parametrize("bad", [1.5, True, False, 2.0, "1", None])
+def test_exponents_must_be_ints(bad):
+    # int() would truncate a float and read a bool as 0 or 1
+    with pytest.raises(TypeError):
+        Monomial((bad, 1))
+    with pytest.raises(TypeError):
+        MonomialIdeal.from_generators(2, [(bad, 0), (0, 2)])
+    with pytest.raises(ValueError):
+        Monomial((1, -1))
+    assert Monomial((0, 3)).exps == (0, 3)
+
+
 def test_canonical_generator_order():
     M = mk(2, (4, 0), (1, 2), (2, 1))
     assert [g.exps for g in M.gens] == [(1, 2), (2, 1), (4, 0)]

@@ -16,8 +16,10 @@ from cellres.residue import (
     duality_check,
     residue_current,
 )
+from cellres.resolution import build_complex
 from cellres.scarf import scarf_complex
 from conftest import (
+    count_calls,
     five_gen_nongeneric,
     hull_specs,
     mk,
@@ -29,7 +31,7 @@ from conftest import (
 
 
 def classified(M, X):
-    return classify(residue_current(M, X))
+    return classify(residue_current(build_complex(X, M)))
 
 
 def by_tau(current):
@@ -48,7 +50,7 @@ def test_three_gen_entries_and_verdict():
     # the other two vertices carry zero entries for the codim-1 prime
     assert got[((0,), (1,))] == ((2, 0), ZERO)
     assert got[((0,), (2,))] == ((4, 0), ZERO)
-    report = duality_check(M, scarf_complex(M))
+    report = duality_check(build_complex(scarf_complex(M), M))
     assert report.verdict == "exact"
     assert report.lower == M == report.upper
 
@@ -82,7 +84,7 @@ def test_five_gen_taylor_classification():
 
 def test_five_gen_taylor_bounds_consistent():
     M = five_gen_nongeneric()
-    report = duality_check(M, taylor_complex(M))
+    report = duality_check(build_complex(taylor_complex(M), M))
     assert report.verdict == "consistent"
     assert report.upper == IrreducibleIdeal((1, 2, 1)).as_ideal()
     assert report.lower.subset_of(M) and M.subset_of(report.upper)
@@ -91,7 +93,7 @@ def test_five_gen_taylor_bounds_consistent():
 def test_five_gen_hull_all_nonzero_exact():
     M = five_gen_nongeneric()
     hull = polyhedral_from_incidence(M.gens, hull_specs())
-    report = duality_check(M, hull)
+    report = duality_check(build_complex(hull, M))
     assert report.verdict == "exact"
     statuses = {(tuple(sorted(e.tau)), e.status, e.rule) for e in report.current.entries}
     assert statuses == {
@@ -147,7 +149,7 @@ def test_artinian_minimal_all_facet_entries_nonzero():
 
 def test_zero_alpha_entries_never_created():
     M = five_gen_nongeneric()
-    R = residue_current(M, taylor_complex(M))
+    R = residue_current(build_complex(taylor_complex(M), M))
     for e in R.entries:
         assert all(e.alpha.exps[i] > 0 for i in e.K)
     # lcm(x^2, xy, y^2) = (2,2,0) has a zero coordinate: no entry
@@ -177,14 +179,14 @@ def test_generic_nonzero_annihilators_equal_scarf_components():
 def test_bounds_single_generator_one_variable():
     M = mk(1, (4,))
     X = simplicial_from_facets(M.gens, [(0,)])
-    report = duality_check(M, X)
+    report = duality_check(build_complex(X, M))
     assert report.verdict == "exact"
     assert report.lower == M == report.upper
 
 
 def test_bounds_before_classification():
     M = xy_square()
-    R = residue_current(M, scarf_complex(M))
+    R = residue_current(build_complex(scarf_complex(M), M))
     lower, upper = annihilator_bounds(R)
     assert lower.subset_of(M)
     assert upper.is_unit()
@@ -264,10 +266,29 @@ def test_residue_preconditions():
     M = xy_square()
     hollow = simplicial_from_facets(M.gens, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotResolutionError):
-        residue_current(M, hollow)
+        residue_current(build_complex(hollow, M))
     other = mk(2, (1, 0), (0, 1))
     with pytest.raises(LabelMismatchError):
-        residue_current(M, taylor_complex(other))
+        build_complex(taylor_complex(other), M)
+
+
+def test_classify_reads_minimality_from_the_current(monkeypatch):
+    import cellres.resolution
+
+    rng = random.Random(417)
+    M5 = five_gen_nongeneric()
+    hull = polyhedral_from_incidence(M5.gens, hull_specs())
+    cases = [(M5, hull), (M5, taylor_complex(M5))]
+    cases += [(M, scarf_complex(M)) for M in
+              (random_generic_ideal(rng, 3, 7, artinian=True) for _ in range(5))]
+    for M, X in cases:
+        current = residue_current(build_complex(X, M))
+        calls = count_calls(monkeypatch, cellres.resolution, "build_complex")
+        R = classify(current)
+        monkeypatch.undo()
+        assert calls == []
+        # generic entries are decided by the Scarf rule first; Taylor is not minimal
+        assert any(e.rule == "minimal-resolution" for e in R.entries) == (X is hull)
 
 
 def test_duality_check_decomposes_once(monkeypatch):
@@ -283,6 +304,6 @@ def test_duality_check_decomposes_once(monkeypatch):
     for M in (three_gen_nonartinian(), five_gen_nongeneric()):
         X = scarf_complex(M) if M.is_generic() else taylor_complex(M)
         calls.clear()
-        report = duality_check(M, X)
+        report = duality_check(build_complex(X, M))
         assert calls == [M]
         assert set(report.current.components) == set(decompose_brute(M).components)
