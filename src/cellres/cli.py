@@ -22,6 +22,7 @@ from cellres.decompose import (
 )
 from cellres.errors import (
     CapExceededError,
+    NotArtinianError,
     ParseError,
     PreconditionError,
     VerificationError,
@@ -174,6 +175,8 @@ def _cmd_decompose(args):
     elif args.method == "minimal":
         if not args.complex:
             raise PreconditionError("--method minimal needs --complex")
+        if not M.is_artinian():  # refuse before the costly exactness decision
+            raise NotArtinianError("minimal-resolution decomposition needs an Artinian ideal")
         dec = decompose_minimal(_free_complex(args.complex, M, args.cap_vertices))
     else:
         dec = decompose_brute(M)
@@ -247,21 +250,18 @@ def _cmd_verify(args):
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
     # each built once and shared by the checks; a failed build is retried and fails the same way
-    brute = functools.cache(lambda: decompose_brute(M))
+    brute = functools.cache(lambda: set(decompose_brute(M).components))
     scarf = functools.cache(lambda: _free_complex("scarf", M, args.cap_vertices))
 
-    def brute_components():
-        return set(brute().components)
-
     def check_brute():
-        return f"{len(brute_components())} components; intersection and irredundancy verified"
+        return f"{len(brute())} components; intersection and irredundancy verified"
 
     run("brute-decomposition", check_brute)
 
     if M.is_generic():
         def check_scarf():
             a = decompose_scarf(M, cap=args.cap_vertices)
-            if set(a.components) != brute_components():
+            if set(a.components) != brute():
                 raise VerificationError("scarf and brute-force decompositions differ")
             return f"{len(a.components)} components agree"
         run("scarf-equals-brute", check_scarf)
@@ -269,7 +269,7 @@ def _cmd_verify(args):
         if M.is_artinian():
             def check_minimal():
                 dec = decompose_minimal(scarf())
-                if set(dec.components) != brute_components():
+                if set(dec.components) != brute():
                     raise VerificationError("minimal-resolution decomposition differs from brute force")
                 return f"{len(dec.components)} components agree"
             run("minimal-equals-brute", check_minimal)
@@ -281,25 +281,27 @@ def _cmd_verify(args):
             return "annihilator bounds both equal the ideal"
         run("duality-exact", check_duality)
 
-    if M.num_gens <= 10:
-        def check_taylor():
-            F = _free_complex("taylor", M, args.cap_vertices)
-            if not verify_chain(F):
-                raise VerificationError("composition of differentials is nonzero")
-            if not F.exact:
-                raise VerificationError("restricted subcomplex with nonzero homology")
-            return "chain condition and exactness verified"
-        run("taylor-resolution", check_taylor)
-    else:
-        checks.append({"name": "taylor-resolution", "passed": None, "skipped": True,
-                       "detail": "more than 10 generators"})
+    def check_taylor():
+        if M.num_gens > 10:
+            raise CapExceededError("more than 10 generators")
+        F = _free_complex("taylor", M, args.cap_vertices)
+        if not verify_chain(F):
+            raise VerificationError("composition of differentials is nonzero")
+        if not F.exact:
+            raise VerificationError("restricted subcomplex with nonzero homology")
+        return "chain condition and exactness verified"
+    run("taylor-resolution", check_taylor)
 
-    all_passed = all(c["passed"] for c in checks if not c.get("skipped"))
+    # a run in which every check was skipped verified nothing, so it does not pass
+    ran = [c for c in checks if not c.get("skipped")]
+    all_passed = bool(ran) and all(c["passed"] for c in ran)
     doc = {"checks": checks, "all_passed": all_passed}
     lines = [("skip " if c.get("skipped") else "ok " if c["passed"] else "FAIL ")
              + f"{c['name']}: {c['detail']}" for c in checks]
-    lines.append("all checks passed" if all_passed else "some checks FAILED")
-    return doc, "\n".join(lines) + "\n", (EXIT_OK if all_passed else EXIT_INTERNAL)
+    lines.append("all checks passed" if all_passed else
+                 "some checks FAILED" if ran else "no check ran: every check was skipped")
+    code = EXIT_OK if all_passed else EXIT_INTERNAL if ran else EXIT_CAP
+    return doc, "\n".join(lines) + "\n", code
 
 
 def _positive_int(text):

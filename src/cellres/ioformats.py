@@ -319,9 +319,9 @@ def residue_entry_doc(entry, names=None) -> dict:
 
 
 def residue_doc(current, names=None) -> dict:
-    names = names or default_var_names(current.ideal.nvars)
+    names = names or default_var_names(current.resolution.ideal.nvars)
     return {
-        "ideal": ideal_doc(current.ideal, names),
+        "ideal": ideal_doc(current.resolution.ideal, names),
         "entries": [residue_entry_doc(e, names) for e in current.entries],
     }
 

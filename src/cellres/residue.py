@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from cellres.complexes import VERTEX_CAP, LabeledComplex
+from cellres.complexes import VERTEX_CAP
 from cellres.decompose import decompose_brute
 from cellres.errors import NotResolutionError, VerificationError
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, unit_ideal
@@ -77,17 +77,16 @@ class ResidueEntry:
 
 @dataclass(frozen=True)
 class ResidueCurrent:
-    """All entries, canonically ordered and grouped by associated prime.
+    """All entries over the resolution they were read from, canonically
+    ordered and grouped by associated prime.
 
     ``components`` is the irredundant irreducible decomposition the
-    associated primes were read from; ``minimal``, that of the resolution.
+    associated primes were read from.
     """
 
-    ideal: MonomialIdeal
-    complex: LabeledComplex
+    resolution: FreeComplex
     entries: tuple
     components: tuple
-    minimal: bool
 
     def by_prime(self):
         """Entries grouped by K, in canonical K order."""
@@ -105,15 +104,13 @@ def residue_current(F: FreeComplex) -> ResidueCurrent:
     """Build the (unclassified) current of an ideal over its resolution F."""
     if not F.exact:
         raise NotResolutionError("the complex does not support a resolution")
-    M, X = F.ideal, F.complex
-
-    components = decompose_brute(M).components
+    components = decompose_brute(F.ideal).components
     primes = sorted({frozenset(c.support) for c in components},
                     key=lambda s: (len(s), sorted(s)))
     entries = []
     for K in primes:
         ell = len(K)
-        for face in X.grade(ell):
+        for face in F.complex.grade(ell):
             alpha = face.label
             if any(alpha.exps[i] == 0 for i in K):
                 continue
@@ -126,19 +123,19 @@ def residue_current(F: FreeComplex) -> ResidueCurrent:
                 annihilator=IrreducibleIdeal(b),
             ))
     entries.sort(key=lambda e: (len(e.K), sorted(e.K), e.face_id))
-    return ResidueCurrent(M, X, tuple(entries), components, F.minimal)
+    return ResidueCurrent(F, tuple(entries), components)
 
 
 def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
     """Tag every entry zero / nonzero / unknown, recording the rule."""
-    M = current.ideal
-
+    F = current.resolution
+    M = F.ideal
     generic = M.is_generic()
     pair_keys = set()
     if generic:
         pair_keys = {(p.K, p.tau) for p in scarf_pairs(M, cap=cap)}
-    minimal = current.minimal and M.is_artinian()
-    facet_ids = {f.id for f in current.complex.facets()}
+    minimal = F.minimal and M.is_artinian()
+    facet_ids = {f.id for f in F.complex.facets()}
 
     tagged = []
     for e in current.entries:
@@ -172,7 +169,7 @@ def annihilator_bounds(current: ResidueCurrent):
     over-approximates: lower <= M <= upper, with equality on both sides
     when no entry is unknown.
     """
-    n = current.ideal.nvars
+    n = current.resolution.ideal.nvars
     lower = unit_ideal(n)
     for e in current.with_status(NONZERO, UNKNOWN):
         lower = lower.intersect(e.annihilator.as_ideal())
@@ -217,5 +214,5 @@ def duality_check(F: FreeComplex, cap: int = VERTEX_CAP) -> DualityReport:
 def check_classification(current: ResidueCurrent):
     """Re-verify soundness of the zero rule; raises on any violation."""
     for e in current.entries:
-        if e.status == ZERO and current.ideal.contained_in(e.annihilator):
+        if e.status == ZERO and current.resolution.ideal.contained_in(e.annihilator):
             raise VerificationError(f"entry {sorted(e.tau)} marked zero but contains the ideal")

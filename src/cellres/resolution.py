@@ -12,7 +12,7 @@ unit, i.e. incident faces never share a label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from cellres.complexes import (
     VERTEX_CAP,
@@ -48,8 +48,8 @@ class FreeComplex:
     ranks: tuple
     bases: tuple
     diffs: tuple
-    exact: bool = False
-    minimal: bool = False
+    exact: bool
+    minimal: bool
 
 
 def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) -> FreeComplex:
@@ -57,6 +57,7 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     (lcm lattice capped at ``cap`` vertices) and minimality decided.
 
     The vertex labels of X must be exactly the minimal generators.
+    X with more than ``cap`` vertices raises ``CapExceededError``.
     """
     if {m.exps for m in X.vertex_labels()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
@@ -72,8 +73,8 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
                 entries.append(DiffEntry(rowpos[sid], col, sign, quotient))
         entries.sort(key=lambda e: (e.col, e.row))
         diffs.append(tuple(entries))
-    F = FreeComplex(M, X, ranks, bases, tuple(diffs), exact=is_resolution(X, cap))
-    return replace(F, minimal=is_minimal(F))
+    return FreeComplex(M, X, ranks, bases, tuple(diffs),
+                       exact=is_resolution(X, cap), minimal=is_minimal(diffs))
 
 
 def verify_chain(F: FreeComplex) -> bool:
@@ -98,10 +99,10 @@ def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
     return all(is_acyclic(restrict_leq(X, beta)) for beta in lcm_lattice(X, cap))
 
 
-def is_minimal(F: FreeComplex) -> bool:
-    """No unit differential entries; equivalently, incident faces always
-    have distinct labels."""
-    return not any(e.quotient.is_unit() for diff in F.diffs for e in diff)
+def is_minimal(diffs) -> bool:
+    """No unit entry in the differentials; equivalently, incident faces
+    always have distinct labels."""
+    return not any(e.quotient.is_unit() for diff in diffs for e in diff)
 
 
 def betti_ranks(F: FreeComplex):

@@ -23,7 +23,7 @@ from cellres.residue import (
     duality_check,
     residue_current,
 )
-from cellres.resolution import build_complex, is_minimal, is_resolution, verify_chain
+from cellres.resolution import build_complex, is_resolution, verify_chain
 from cellres.scarf import scarf_complex, scarf_pairs
 from conftest import (
     five_gen_nongeneric,
@@ -206,7 +206,7 @@ def test_criterion_08_minimality_equivalences():
         M = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 5), maxdeg=5)
         X = taylor_complex(M) if rng.random() < 0.5 else scarf_complex(M)
         F = build_complex(X, M)
-        by_entries = is_minimal(F)
+        by_entries = F.minimal
         by_labels = all(X.face(sid).label != f.label
                         for f in X.faces for sid, _ in f.boundary)
         by_units = not any(e.quotient.is_unit() for d in F.diffs for e in d)
@@ -215,8 +215,8 @@ def test_criterion_08_minimality_equivalences():
             break
     from conftest import xy_square
     M = xy_square()
-    ok = ok and not is_minimal(build_complex(taylor_complex(M), M))
-    ok = ok and is_minimal(build_complex(scarf_complex(M), M))
+    ok = ok and not build_complex(taylor_complex(M), M).minimal
+    ok = ok and build_complex(scarf_complex(M), M).minimal
     _report(8, ok, "minimality = no unit entries = no equal incident labels (100 complexes)")
 
 

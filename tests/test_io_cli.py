@@ -267,6 +267,40 @@ def test_cli_verify_reports_skipped_taylor_check(tmp_path, capsys):
     assert "ok taylor-resolution" not in out and out.endswith("all checks passed\n")
 
 
+def test_cli_verify_fails_when_every_check_is_skipped(tmp_path, capsys):
+    # seven generators with pairwise distinct exponents in seven variables: 2^21
+    # brute-force candidates pass the candidate cap, and vertex cap 1 stops the rest
+    rng = random.Random(67)
+    columns = [rng.sample(range(1, 30), 7) for _ in range(7)]
+    M = mk(7, *zip(*columns))
+    path = _write(tmp_path, "m.txt", ideal_text(M))
+    assert main(["verify", path, "--cap-vertices", "1", "--format", "json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] and all(c["skipped"] is True for c in doc["checks"])
+    assert doc["all_passed"] is False
+    assert main(["verify", path, "--cap-vertices", "1"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("skip ") for line in lines[:-1])
+    assert lines[-1] == "no check ran: every check was skipped"
+
+
+def test_cli_decompose_minimal_refuses_non_artinian_before_building(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the twelve degree-4 monomials in x, y, z with every exponent below 4
+    import itertools
+
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "build_complex")
+    gens = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
+    path = _write(tmp_path, "m.txt", ideal_text(mk(3, *gens)))
+    for cap in ([], ["--cap-vertices", "3"]):
+        argv = ["decompose", path, "--method", "minimal", "--complex", "taylor"]
+        assert main(argv + cap) == 3
+        assert "needs an Artinian ideal" in capsys.readouterr().err
+    assert calls == []
+
+
 def _generic_artinian_paths(tmp_path):
     rng = random.Random(31)
     ideals = []

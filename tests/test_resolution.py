@@ -1,15 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from cellres.complexes import simplicial_from_facets, taylor_complex
-from cellres.errors import LabelMismatchError, NotMinimalError
+from cellres.errors import CapExceededError, LabelMismatchError, NotMinimalError
 from cellres.resolution import (
     DiffEntry,
-    FreeComplex,
     betti_ranks,
     build_complex,
-    is_minimal,
     is_resolution,
     verify_chain,
 )
@@ -62,6 +61,14 @@ def test_label_mismatch_rejected():
         build_complex(taylor_complex(other), M)
 
 
+def test_build_complex_refuses_past_the_vertex_cap():
+    # exactness is always decided, over the lcm lattice of every vertex
+    M = xy_square()
+    with pytest.raises(CapExceededError, match="3 vertices exceeds the cap 2"):
+        build_complex(taylor_complex(M), M, cap=2)
+    assert build_complex(taylor_complex(M), M, cap=3).exact
+
+
 def test_chain_condition_holds_and_detects_corruption():
     M = five_gen_nongeneric()
     F = build_complex(taylor_complex(M), M)
@@ -69,7 +76,7 @@ def test_chain_condition_holds_and_detects_corruption():
     e = F.diffs[1][0]
     bad = list(F.diffs[1])
     bad[0] = DiffEntry(e.row, e.col, -e.sign, e.quotient)
-    G = FreeComplex(F.ideal, F.complex, F.ranks, F.bases, (F.diffs[0], tuple(bad)) + F.diffs[2:])
+    G = replace(F, diffs=(F.diffs[0], tuple(bad)) + F.diffs[2:])
     assert not verify_chain(G)
 
 
@@ -99,9 +106,9 @@ def test_scarf_complex_resolves_generic():
 def test_minimality_examples():
     M = xy_square()
     taylor = build_complex(taylor_complex(M), M)
-    assert not is_minimal(taylor)
+    assert not taylor.minimal
     scarf = build_complex(scarf_complex(M), M)
-    assert is_minimal(scarf)
+    assert scarf.minimal
     with pytest.raises(NotMinimalError):
         betti_ranks(taylor)
     assert betti_ranks(scarf) == [1, 3, 2]
@@ -110,7 +117,7 @@ def test_minimality_examples():
     M5 = five_gen_nongeneric()
     hull = polyhedral_from_incidence(M5.gens, hull_specs())
     F = build_complex(hull, M5)
-    assert is_minimal(F)
+    assert F.minimal
     assert is_resolution(hull)
 
 
@@ -120,7 +127,7 @@ def test_minimality_three_ways_agree():
         M = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 5), maxdeg=4)
         X = taylor_complex(M) if rng.random() < 0.5 else scarf_complex(M)
         F = build_complex(X, M)
-        by_entries = is_minimal(F)
+        by_entries = F.minimal
         by_labels = all(X.face(sid).label != f.label
                         for f in X.faces for sid, _ in f.boundary)
         by_units = not any(not any(e.quotient.exps) for d in F.diffs for e in d)
