@@ -15,6 +15,7 @@ import sys
 from cellres import ioformats
 from cellres.complexes import VERTEX_CAP, taylor_complex
 from cellres.decompose import (
+    _candidate_values,
     associated_primes,
     decompose_brute,
     decompose_minimal,
@@ -203,6 +204,7 @@ def _cmd_residue(args):
     src = args.complex
     if src is None:
         src = "scarf" if M.is_generic() else "taylor"
+    _candidate_values(M)  # the current needs a brute-force decomposition: refuse before building F
     report = duality_check(_free_complex(src, M, args.cap_vertices), args.cap_vertices)
     current = report.current
     doc = {
@@ -258,7 +260,7 @@ def _cmd_verify(args):
 
     run("brute-decomposition", check_brute)
 
-    if M.is_generic():
+    if M.is_generic() and not M.is_unit():  # the unit ideal has no Scarf complex
         def check_scarf():
             a = decompose_scarf(M, cap=args.cap_vertices)
             if set(a.components) != brute():

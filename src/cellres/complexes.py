@@ -3,20 +3,24 @@
 A complex carries one monomial label per vertex; every face is labeled
 by the lcm of its vertex labels.  Faces are graded so that grade k holds
 the faces of dimension k-1 (grade 0 is the empty face alone, grade 1 the
-vertices).  Complexes are immutable once built.
+vertices).  A complex is its tuple of faces in canonical (dim, sorted
+vertices) order, ids 0, 1, ...: each grade is one range of ids, and
+facets are found when asked for.  Complexes are immutable once built.
 
 Simplicial complexes (Taylor, Scarf, JSON facets) are correct by
 construction, with orientation from the vertex order; only their input
 is checked.  Polyhedral input supplies the full signed face lattice,
 validated once at the door: boundaries drop exactly one dimension and
 two boundary steps cancel.  Degree restrictions are filters of a built
-complex, selected from it, not rebuilt.
+complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
+every vertex label does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 
 from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexError
 from cellres.monomial import Monomial, MonomialIdeal, lcm_many
@@ -44,14 +48,14 @@ class Face:
 class LabeledComplex:
     """A polyhedral cell complex with monomial vertex labels."""
 
-    __slots__ = ("labels", "faces", "_grades", "_facet_ids")
+    __slots__ = ("labels", "faces", "_starts")
 
-    def __init__(self, labels, faces, _grades, _facet_ids):
+    def __init__(self, labels, faces):
         # built via the factory functions below; not validated here
         self.labels = labels
         self.faces = faces
-        self._grades = _grades
-        self._facet_ids = _facet_ids
+        starts = [i for i, f in enumerate(faces) if i == 0 or f.dim != faces[i - 1].dim]
+        self._starts = (*starts, len(faces))
 
     @property
     def nvars(self) -> int:
@@ -59,17 +63,17 @@ class LabeledComplex:
 
     @property
     def dim(self) -> int:
-        return len(self._grades) - 2
+        return self.num_grades - 2
 
     def grade(self, k: int):
         """Faces of dimension k-1 (grade 0 is the empty face)."""
-        if 0 <= k < len(self._grades):
-            return self._grades[k]
+        if 0 <= k < self.num_grades:
+            return self.faces[self._starts[k]:self._starts[k + 1]]
         return ()
 
     @property
     def num_grades(self) -> int:
-        return len(self._grades)
+        return len(self._starts) - 1
 
     def face(self, ident: int) -> Face:
         return self.faces[ident]
@@ -82,14 +86,15 @@ class LabeledComplex:
         return tuple(self.labels[v] for v in self.vertices())
 
     def facets(self):
-        """Maximal nonempty faces."""
-        return tuple(self.faces[i] for i in self._facet_ids)
+        """Maximal nonempty faces: those in no face's boundary."""
+        bounded = {i for f in self.faces for i, _ in f.boundary}
+        return tuple(f for f in self.faces if f.dim >= 0 and f.id not in bounded)
 
     def has_nonempty_faces(self) -> bool:
         return self.dim >= 0
 
     def __repr__(self):
-        counts = [len(g) for g in self._grades]
+        counts = [len(self.grade(k)) for k in range(self.num_grades)]
         return f"<LabeledComplex dim={self.dim} grade sizes={counts}>"
 
 
@@ -163,16 +168,7 @@ def _build_complex(labels, entries) -> LabeledComplex:
             boundary=tuple(sorted((ids[sk], s) for sk, s in boundary)),
             label=lcm_many((labels[v] for v in vertices[key]), labels[0].nvars if labels else 0),
         ))
-    return _assemble(labels, tuple(faces))
-
-
-def _assemble(labels, faces) -> LabeledComplex:
-    """Grades and facets of canonically ordered faces (ids 0, 1, ...)."""
-    max_dim = faces[-1].dim
-    grades = tuple(tuple(f for f in faces if f.dim == k - 1) for k in range(max_dim + 2))
-    bounded = {i for f in faces for i, _ in f.boundary}
-    facet_ids = tuple(f.id for f in faces if f.dim >= 0 and f.id not in bounded)
-    return LabeledComplex(labels, faces, grades, facet_ids)
+    return LabeledComplex(labels, tuple(faces))
 
 
 def simplicial_from_facets(labels, facets) -> LabeledComplex:
@@ -210,7 +206,7 @@ def simplicial_from_facets(labels, facets) -> LabeledComplex:
                              for j in reversed(range(len(t))))
         built[t] = (len(faces), label.exps)
         faces.append(Face(len(faces), frozenset(t), len(t) - 1, boundary, label))
-    return _assemble(labels, tuple(faces))
+    return LabeledComplex(labels, tuple(faces))
 
 
 def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
@@ -257,36 +253,38 @@ def taylor_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
 def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
     """Subcomplex of the faces whose label divides z^beta.
 
-    A boundary face g of a face f has its vertices among f's, and labels
-    are lcms of vertex labels, so label(g) divides label(f).  The kept
-    faces are thus closed under boundaries: with X's incidences and
-    signs they are a valid complex, so nothing is validated again.  A
-    subsequence of X's canonical (dim, sorted vertices) order is
-    canonical, so the kept faces are renumbered in X's order.
+    A face label is the lcm of its vertex labels, so it divides z^beta
+    iff its vertex set lies in the set of vertices whose labels do.  A
+    boundary face has its vertices among its face's, so the kept faces
+    are closed under boundaries: with X's incidences and signs they are
+    a valid complex, so nothing is validated again.  A subsequence of
+    X's canonical (dim, sorted vertices) order is canonical, so the kept
+    faces are renumbered in X's order, each grade still one id range.
     """
     if X.labels and beta.nvars != X.nvars:
         raise DimensionMismatch(f"{beta.nvars} variables vs {X.nvars}")
     b = beta.exps
+    allowed = {v for v, m in enumerate(X.labels) if all(map(le, m.exps, b))}
     ids = {}
     faces = []
     for f in X.faces:
-        if all(e <= c for e, c in zip(f.label.exps, b)):
+        if f.vertices <= allowed:
             k = ids[f.id] = len(faces)
             if f.id != k:
                 f = Face(k, f.vertices, f.dim, tuple((ids[i], s) for i, s in f.boundary), f.label)
             faces.append(f)
-    return _assemble(X.labels, tuple(faces))
+    return LabeledComplex(X.labels, tuple(faces))
 
 
 def boundary_matrix(X: LabeledComplex, k: int):
     """Signed incidence matrix from grade k to grade k-1, as row lists."""
     rows = X.grade(k - 1)
     cols = X.grade(k)
-    pos = {f.id: i for i, f in enumerate(rows)}
+    first = rows[0].id
     mat = [[0] * len(cols) for _ in rows]
     for j, f in enumerate(cols):
         for sid, sign in f.boundary:
-            mat[pos[sid]][j] = sign
+            mat[sid - first][j] = sign
     return mat
 
 
@@ -318,24 +316,15 @@ def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
     """All lcms of nonempty vertex-label subsets, plus the zero vector.
 
     Restricting X below any degree is the same as restricting below some
-    lattice point, so acyclicity checks only need these degrees.  The
-    lattice is the closure of the labels under pairwise lcm.
+    lattice point, so acyclicity checks only need these degrees.  It is
+    built one vertex label g at a time: the lcms of the subsets of the
+    labels before g (zero for the empty subset) gain their lcms with g.
     """
     verts = X.vertices()
     if len(verts) > cap:
         raise CapExceededError(f"{len(verts)} vertices exceeds the cap {cap}")
-    n = X.nvars
-    if not verts:
-        return (Monomial((0,) * n),)
-    gens = [X.labels[v].exps for v in verts]
-    found = set(gens)
-    frontier = list(found)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple(max(a, b) for a, b in zip(x, g))
-            if y not in found:
-                found.add(y)
-                frontier.append(y)
-    found.add((0,) * n)
+    found = {(0,) * X.nvars}
+    for v in verts:
+        g = X.labels[v].exps
+        found |= {tuple(map(max, x, g)) for x in found}
     return tuple(Monomial(e) for e in sorted(found))

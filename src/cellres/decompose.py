@@ -16,6 +16,7 @@ the ideal and none can be dropped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from cellres.complexes import VERTEX_CAP
@@ -106,6 +107,17 @@ def decompose_minimal(F: FreeComplex) -> Decomposition:
     return dec
 
 
+def _candidate_values(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP):
+    """Per-variable values of ``decompose_brute``'s candidate vectors; their
+    count past ``candidate_cap`` raises.  Cheap, so run before costly work."""
+    value_sets = [sorted({0} | {g.exps[i] for g in M.gens if g.exps[i] > 0})
+                  for i in range(M.nvars)]
+    total = math.prod(map(len, value_sets))
+    if total > candidate_cap:
+        raise CapExceededError(f"{total} candidate vectors exceeds the cap {candidate_cap}")
+    return value_sets
+
+
 def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Decomposition:
     """Oracle decomposition by direct enumeration.
 
@@ -129,15 +141,8 @@ def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Dec
     M.require_nonzero()
     if M.is_unit():
         return Decomposition(M, (), METHOD_BRUTE)
-    n = M.nvars
+    value_sets = _candidate_values(M, candidate_cap)
     gens_exps = [g.exps for g in M.gens]
-    value_sets = [sorted({0} | {g[i] for g in gens_exps if g[i] > 0}) for i in range(n)]
-    total = 1
-    for vs in value_sets:
-        total *= len(vs)
-    if total > candidate_cap:
-        raise CapExceededError(f"{total} candidate vectors exceeds the cap {candidate_cap}")
-
     containing = set()
     for b in itertools.product(*value_sets):
         if any(b) and all(any(bv and gv >= bv for gv, bv in zip(g, b)) for g in gens_exps):

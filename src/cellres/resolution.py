@@ -37,7 +37,7 @@ class DiffEntry:
 
 @dataclass(frozen=True)
 class FreeComplex:
-    """Ranks, per-grade bases (face ids), sparse differentials, exactness, minimality.
+    """Ranks, sparse differentials, exactness, minimality.
 
     ``diffs[k-1]`` is the matrix from grade k to grade k-1, rows and
     columns indexed by the canonical face order within each grade.
@@ -46,7 +46,6 @@ class FreeComplex:
     ideal: MonomialIdeal
     complex: LabeledComplex
     ranks: tuple
-    bases: tuple
     diffs: tuple
     exact: bool
     minimal: bool
@@ -62,18 +61,17 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     if {m.exps for m in X.vertex_labels()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
     ranks = tuple(len(X.grade(k)) for k in range(X.num_grades))
-    bases = tuple(tuple(f.id for f in X.grade(k)) for k in range(X.num_grades))
     diffs = []
     for k in range(1, X.num_grades):
-        rowpos = {f.id: i for i, f in enumerate(X.grade(k - 1))}
+        first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
         entries = []
         for col, face in enumerate(X.grade(k)):
             for sid, sign in face.boundary:
                 quotient = face.label.quotient(X.face(sid).label)
-                entries.append(DiffEntry(rowpos[sid], col, sign, quotient))
+                entries.append(DiffEntry(sid - first, col, sign, quotient))
         entries.sort(key=lambda e: (e.col, e.row))
         diffs.append(tuple(entries))
-    return FreeComplex(M, X, ranks, bases, tuple(diffs),
+    return FreeComplex(M, X, ranks, tuple(diffs),
                        exact=is_resolution(X, cap), minimal=is_minimal(diffs))
 
 

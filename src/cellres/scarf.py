@@ -94,6 +94,9 @@ class GhostedIdeal:
 def star_ideal(M: MonomialIdeal, D: int | None = None) -> GhostedIdeal:
     """Add ghost generators z_i^D; D defaults to 1 + the largest exponent."""
     M.require_nonzero()
+    if M.is_unit():
+        # it has no Scarf complex, and in no variables no largest exponent
+        raise PreconditionError("the unit ideal cannot be ghosted")
     n = M.nvars
     top = max(M.max_degrees())
     if D is None:

@@ -319,6 +319,47 @@ def test_lcm_lattice_examples():
     assert {m.exps for m in lcm_lattice(twin)} == {(0, 0), (2, 1)}
 
 
+def lattice_by_subsets(X):
+    """Oracle: the lcm of every subset of X's vertex labels, the empty
+    subset giving the zero vector."""
+    gens = [X.labels[v].exps for v in X.vertices()]
+    found = {(0,) * X.nvars}
+    for k in range(1, len(gens) + 1):
+        for combo in itertools.combinations(gens, k):
+            found.add(tuple(max(c) for c in zip(*combo)))
+    return found
+
+
+def assert_lattice_matches_subsets(X):
+    got = [m.exps for m in lcm_lattice(X)]
+    assert got == sorted(lattice_by_subsets(X))
+
+
+def test_lcm_lattice_matches_all_subsets():
+    rng = random.Random(71)
+    absent = 0
+    for n, r in [(n, r) for n in (1, 2, 3, 4) for r in (1, 3, 6, 10)]:
+        ideals = [random_ideal(rng, n, r, maxdeg=4),
+                  random_generic_ideal(rng, n, r, artinian=n <= r and rng.random() < 0.5)]
+        if n > 1 and r <= 8:
+            ideals.append(antichain_ideal(rng, n, r))  # r distinct points of degree 8
+        for M in ideals:
+            for X in (taylor_complex(M), scarf_complex(M)):
+                assert_lattice_matches_subsets(X)
+                # restrictions keep every label, also those of the vertices they drop
+                for beta in rng.sample(lcm_lattice(X), min(4, len(lcm_lattice(X)))):
+                    Y = restrict_leq(X, beta)
+                    absent += len(Y.vertices()) < len(Y.labels)
+                    assert_lattice_matches_subsets(Y)
+    assert absent > 100
+    # repeated labels, on a complex and on the full simplex
+    lab = labels((2, 1), (2, 1), (1, 3), (1, 3), (0, 4), (2, 1))
+    for facets in ([(0, 1, 2), (3, 4), (5,)], [range(6)]):
+        X = simplicial_from_facets(lab, facets)
+        assert_lattice_matches_subsets(X)
+        assert len(lcm_lattice(X)) == 7
+
+
 def test_lcm_lattice_cap():
     M = mk(2, *[(i + 1, 22 - i) for i in range(21)])
     X = simplicial_from_facets(M.gens, [(i,) for i in range(21)])

@@ -284,6 +284,42 @@ def test_cli_verify_fails_when_every_check_is_skipped(tmp_path, capsys):
     assert lines[-1] == "no check ran: every check was skipped"
 
 
+def test_cli_residue_refuses_over_candidate_cap_before_building(tmp_path, capsys, monkeypatch):
+    # the ideal above: 2^21 brute-force candidates, which the current needs
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "build_complex")
+    rng = random.Random(67)
+    columns = [rng.sample(range(1, 30), 7) for _ in range(7)]
+    path = _write(tmp_path, "m.txt", ideal_text(mk(7, *zip(*columns))))
+    assert main(["residue", path]) == 4
+    assert capsys.readouterr().err == "error: 2097152 candidate vectors exceeds the cap 1000000\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("source", [
+    json.dumps({"nvars": 0, "generators": [[]]}),
+    "vars: x,y\nideal: 1\n",
+], ids=["no-variables", "unit-text"])
+@pytest.mark.parametrize("argv, code", [
+    (["scarf", "--star"], 3),
+    (["decompose", "--method", "scarf"], 3),
+    (["verify", "--format", "json"], 0),
+], ids=["scarf-star", "decompose-scarf", "verify"])
+def test_cli_unit_ideal_has_no_scarf_route(tmp_path, capsys, source, argv, code):
+    path = _write(tmp_path, "unit.txt", source)
+    assert main([argv[0], path, *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code:
+        assert err == "error: the unit ideal cannot be ghosted\n"
+    else:
+        # generic, yet it has no Scarf complex, so the Scarf checks are omitted
+        doc = json.loads(out)
+        assert doc["all_passed"] is True
+        assert [c["name"] for c in doc["checks"]] == ["brute-decomposition", "taylor-resolution"]
+
+
 def test_cli_decompose_minimal_refuses_non_artinian_before_building(tmp_path, capsys,
                                                                      monkeypatch):
     # the twelve degree-4 monomials in x, y, z with every exponent below 4
