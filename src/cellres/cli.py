@@ -202,8 +202,8 @@ def _cmd_ass(args):
 def _cmd_residue(args):
     M, names = _load_ideal(args)
     src = args.complex
-    if src is None:
-        src = "scarf" if M.is_generic() else "taylor"
+    if src is None:  # the unit ideal has no Scarf complex
+        src = "scarf" if M.is_generic() and not M.is_unit() else "taylor"
     _candidate_values(M)  # the current needs a brute-force decomposition: refuse before building F
     report = duality_check(_free_complex(src, M, args.cap_vertices), args.cap_vertices)
     current = report.current

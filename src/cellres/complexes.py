@@ -14,15 +14,30 @@ validated once at the door: boundaries drop exactly one dimension and
 two boundary steps cancel.  Degree restrictions are filters of a built
 complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
 every vertex label does.
+
+Homology is computed by chain-complex reduction: pairs of cells whose
+removal changes no other boundary but by deletion go first, and exact
+rank (``cellres.rank``) runs only on the cells left.  ``FaceIndex``
+does this on a restriction given as a set of face ids, picked by
+per-variable bitmasks, so the exactness test over the lcm lattice
+builds no complex per lattice point.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import le
 
-from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexError
+from cellres.errors import (
+    CapExceededError,
+    DimensionMismatch,
+    InvalidComplexError,
+    VerificationError,
+)
 from cellres.monomial import Monomial, MonomialIdeal, lcm_many
 from cellres.rank import matrix_rank
 
@@ -276,40 +291,133 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
     return LabeledComplex(X.labels, tuple(faces))
 
 
-def boundary_matrix(X: LabeledComplex, k: int):
-    """Signed incidence matrix from grade k to grade k-1, as row lists."""
-    rows = X.grade(k - 1)
-    cols = X.grade(k)
-    first = rows[0].id
-    mat = [[0] * len(cols) for _ in rows]
-    for j, f in enumerate(cols):
-        for sid, sign in f.boundary:
-            mat[sid - first][j] = sign
-    return mat
+class FaceIndex:
+    """The faces of X indexed for degree restriction and for homology.
+
+    ``leq(b)`` gives the face ids of X restricted below z^b without
+    building a complex: for each variable, a sorted table holds every
+    label exponent there with the bitmask of the faces whose exponent is
+    at most it, so the restriction is n bisections and big-integer ANDs.
+
+    ``reduced_ranks(ids)`` gives the reduced homology of the subcomplex
+    on a set of face ids closed under boundaries.  It first removes pairs
+    (a, b), a in the boundary of b, where a has no other live coface (a
+    collapse) or b no other live boundary face (a coreduction).  By the
+    Gaussian-elimination lemma of reduction homology (Kaczynski, Mrozek
+    and Slusarek, 1998) such a pair with incidence +-1 can be removed
+    keeping every reduced homology rank, and the other boundaries change
+    only by losing a or b.  Exact rank then runs on the cells left.
+    """
+
+    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_tables", "_all")
+
+    def __init__(self, X: LabeledComplex):
+        faces = X.faces
+        n = len(faces)
+        self._dims = [f.dim for f in faces]
+        self._bd = [f.boundary for f in faces]
+        self._cob = [[] for _ in faces]
+        for f in faces:
+            for i, sign in f.boundary:
+                self._cob[i].append((f.id, sign))
+        self._num_grades = X.num_grades
+        self._all = (1 << n) - 1
+        self._tables = []
+        for v in range(X.nvars):
+            col = [f.label.exps[v] for f in faces]
+            bits = bytearray(b"0" * n)  # a binary numeral: face i is character n-1-i
+            values, masks = [], []
+            for x, group in groupby(sorted(range(n), key=col.__getitem__), col.__getitem__):
+                for i in group:
+                    bits[n - 1 - i] = 49  # "1"
+                values.append(x)
+                masks.append(int(bits, 2))
+            self._tables.append((values, masks))
+
+    def leq(self, b) -> list:
+        """Ids, ascending, of the faces whose label divides z^b."""
+        mask = self._all
+        for (values, masks), x in zip(self._tables, b):
+            k = bisect_right(values, x)
+            mask &= masks[k - 1] if k else 0
+        return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
+
+    def reduced_ranks(self, ids) -> list:
+        """Reduced homology ranks, k = -1 .. dim X, of the subcomplex on
+        ``ids``, which must be closed under boundaries."""
+        bd, cob = self._bd, self._cob
+        live = set(ids)
+        nbd = {i: len(bd[i]) for i in live}
+        ncob = dict.fromkeys(live, 0)
+        for i in live:
+            for j, _ in bd[i]:
+                ncob[j] += 1
+        # first in, first out: last in, first out was seen to strand cells
+        # of simplices of dimension 9 and up, which then went to rank
+        todo = deque(i for i in sorted(live) if nbd[i] == 1 or ncob[i] == 1)
+        while todo:
+            a = todo.popleft()
+            if a not in live:
+                continue
+            if nbd[a] == 1:
+                b, sign = next(p for p in bd[a] if p[0] in live)
+            elif ncob[a] == 1:
+                b, sign = next(p for p in cob[a] if p[0] in live)
+            else:
+                continue
+            if sign != 1 and sign != -1:
+                raise VerificationError(f"faces {a} and {b}: incidence {sign} is not a unit")
+            live.discard(a)
+            live.discard(b)
+            for c in (a, b):
+                for j, _ in bd[c]:
+                    if j in live:
+                        ncob[j] -= 1
+                        if ncob[j] == 1:
+                            todo.append(j)
+                for j, _ in cob[c]:
+                    if j in live:
+                        nbd[j] -= 1
+                        if nbd[j] == 1:
+                            todo.append(j)
+
+        grades = [[] for _ in range(self._num_grades)]
+        for i in sorted(live):
+            grades[self._dims[i] + 1].append(i)
+        ranks = [0]  # ranks[k]: rank of the boundary map from grade k to grade k-1
+        for rows, cols in zip(grades, grades[1:]):
+            rank = 0
+            if rows and cols:
+                pos = {i: p for p, i in enumerate(rows)}
+                mat = [[0] * len(cols) for _ in rows]
+                for c, j in enumerate(cols):
+                    for i, sign in bd[j]:
+                        if i in pos:
+                            mat[pos[i]][c] = sign
+                rank = matrix_rank(mat, len(cols))
+            ranks.append(rank)
+        ranks.append(0)
+        return [len(g) - ranks[k] - ranks[k + 1] for k, g in enumerate(grades)]
+
+    def is_acyclic(self, ids) -> bool:
+        """Whether the subcomplex on ``ids`` (closed under boundaries) has
+        no nonempty face or zero reduced homology throughout."""
+        return len(ids) <= 1 or not any(self.reduced_ranks(ids))
 
 
 def reduced_homology_ranks(X: LabeledComplex):
     """Ranks of reduced homology over the rationals, for k = -1 .. dim X.
 
-    Computed from exact ranks of the augmented boundary matrices;
-    entry [k+1] of the result is the rank in degree k.
+    Entry [k+1] of the result is the rank in degree k.  Pairs of cells
+    are reduced away first and exact rank runs on the rest; see
+    ``FaceIndex``.
     """
-    sizes = [len(X.grade(k)) for k in range(X.num_grades)]
-    ranks = [matrix_rank(boundary_matrix(X, k), sizes[k]) for k in range(1, X.num_grades)]
-    ranks.append(0)
-    out = []
-    boundary_in = 0
-    for k, size in enumerate(sizes):
-        out.append(size - boundary_in - ranks[k])
-        boundary_in = ranks[k]
-    return out
+    return FaceIndex(X).reduced_ranks(range(len(X.faces)))
 
 
 def is_acyclic(X: LabeledComplex) -> bool:
     """Empty (no nonempty faces) or zero reduced homology throughout."""
-    if not X.has_nonempty_faces():
-        return True
-    return all(r == 0 for r in reduced_homology_ranks(X))
+    return not X.has_nonempty_faces() or not any(reduced_homology_ranks(X))
 
 
 def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):

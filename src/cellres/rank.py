@@ -3,8 +3,11 @@
 Fraction-free (Bareiss) elimination on Python integers: after step k
 every entry is a (k+1)x(k+1) minor of the input matrix, so all
 divisions are exact and the computation stays in the integers, with no
-overflow and no floating point.  ``python3 perfbench/run.py --workload
-W --seed 1 --trace 1`` reports the per-layer rank time and call count.
+overflow and no floating point.  Homology calls it only on the cells
+that chain-complex reduction leaves (``cellres.complexes.FaceIndex``),
+which for a Taylor complex and most Scarf restrictions is none.
+``python3 perfbench/run.py --workload W --seed 1 --trace 1`` reports the
+per-layer rank time and call count.
 """
 
 from __future__ import annotations

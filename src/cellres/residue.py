@@ -130,7 +130,7 @@ def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
     """Tag every entry zero / nonzero / unknown, recording the rule."""
     F = current.resolution
     M = F.ideal
-    generic = M.is_generic()
+    generic = M.is_generic() and not M.is_unit()  # the unit ideal has no Scarf pairs
     pair_keys = set()
     if generic:
         pair_keys = {(p.K, p.tau) for p in scarf_pairs(M, cap=cap)}

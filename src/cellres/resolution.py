@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cellres.complexes import (
-    VERTEX_CAP,
-    LabeledComplex,
-    is_acyclic,
-    lcm_lattice,
-    restrict_leq,
-)
+from cellres.complexes import VERTEX_CAP, FaceIndex, LabeledComplex, lcm_lattice
 from cellres.errors import LabelMismatchError, NotMinimalError, NotResolutionError
 from cellres.monomial import Monomial, MonomialIdeal
 
@@ -93,8 +87,14 @@ def verify_chain(F: FreeComplex) -> bool:
 
 
 def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
-    """Exactness criterion: every degree restriction of X is acyclic."""
-    return all(is_acyclic(restrict_leq(X, beta)) for beta in lcm_lattice(X, cap))
+    """Exactness criterion: every degree restriction of X is acyclic.
+
+    Each restriction is a set of X's face ids, reduced in place; no
+    complex is built per lattice point.
+    """
+    points = lcm_lattice(X, cap)  # refuses past the cap before X is indexed
+    index = FaceIndex(X)
+    return all(index.is_acyclic(index.leq(beta.exps)) for beta in points)
 
 
 def is_minimal(diffs) -> bool:

@@ -1,6 +1,8 @@
-"""Shared example ideals, complexes, random generators, and a call counter."""
+"""Shared example ideals, complexes, random generators, the g-class scale
+ideals, and a call counter."""
 
 import itertools
+import random
 import sys
 
 from cellres.monomial import Monomial, MonomialIdeal
@@ -162,3 +164,26 @@ def count_calls(monkeypatch, module, name):
         if key.startswith("cellres") and getattr(held, name, None) is original:
             monkeypatch.setattr(held, name, counting)
     return calls
+
+
+def g_class(n, r, degree, seed):
+    """The g-class scale ideals: r points of total degree ``degree`` with
+    every coordinate positive, drawn with random.Random(seed) and redrawn
+    when a coordinate repeats one already taken in its variable, plus the
+    pure powers z_i^(degree+1+i).  Strongly generic and Artinian.  g4 is
+    (4, 13, 60, 5): 17 generators, 334 Scarf faces counting the empty
+    one, 1,937 lcm-lattice points.  g5 is (5, 14, 80, 7): 19 generators,
+    1,148 Scarf faces, 6,924 lattice points."""
+    rng = random.Random(seed)
+    used = [set() for _ in range(n)]
+    gens = []
+    while len(gens) < r:
+        cuts = sorted(rng.sample(range(1, degree), n - 1))
+        e = tuple(b - a for a, b in zip((0, *cuts), (*cuts, degree)))
+        if any(x in u for x, u in zip(e, used)):
+            continue
+        for x, u in zip(e, used):
+            u.add(x)
+        gens.append(e)
+    gens += [tuple(degree + 1 + i if j == i else 0 for j in range(n)) for i in range(n)]
+    return MonomialIdeal.from_generators(n, gens)

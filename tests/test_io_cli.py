@@ -320,6 +320,21 @@ def test_cli_unit_ideal_has_no_scarf_route(tmp_path, capsys, source, argv, code)
         assert [c["name"] for c in doc["checks"]] == ["brute-decomposition", "taylor-resolution"]
 
 
+@pytest.mark.parametrize("source", [
+    json.dumps({"nvars": 0, "generators": [[]]}),
+    "vars: x,y\nideal: 1\n",
+], ids=["no-variables", "unit-text"])
+@pytest.mark.parametrize("extra", [[], ["--complex", "taylor"]], ids=["default", "taylor"])
+def test_cli_residue_of_the_unit_ideal_is_empty(tmp_path, capsys, source, extra):
+    # generic, yet it has no Scarf complex: the Taylor complex carries an empty current
+    path = _write(tmp_path, "unit.txt", source)
+    assert main(["residue", path, "--format", "json", *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["complex_source"] == "taylor"
+    assert doc["current"]["entries"] == []
+    assert doc["duality"]["verdict"] == "exact"
+
+
 def test_cli_decompose_minimal_refuses_non_artinian_before_building(tmp_path, capsys,
                                                                      monkeypatch):
     # the twelve degree-4 monomials in x, y, z with every exponent below 4

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cellres.complexes import simplicial_from_facets, taylor_complex
+from cellres.complexes import lcm_lattice, simplicial_from_facets, taylor_complex
 from cellres.errors import CapExceededError, LabelMismatchError, NotMinimalError
 from cellres.resolution import (
     DiffEntry,
@@ -15,6 +15,7 @@ from cellres.resolution import (
 from cellres.scarf import scarf_complex
 from conftest import (
     five_gen_nongeneric,
+    g_class,
     hull_specs,
     mk,
     random_ideal,
@@ -101,6 +102,16 @@ def test_scarf_complex_resolves_generic():
     for _ in range(10):
         M = random_generic_ideal(rng, rng.randint(1, 3), rng.randint(1, 5))
         assert is_resolution(scarf_complex(M))
+
+
+def test_g4_class_scarf_complex_is_its_minimal_resolution():
+    # the Scarf complex of a generic ideal always resolves it, minimally;
+    # at this scale every lattice point's restriction is reduced, not ranked whole
+    M = g_class(4, 13, 60, seed=5)
+    X = scarf_complex(M)
+    assert (M.num_gens, len(X.faces), len(lcm_lattice(X))) == (17, 334, 1937)
+    assert is_resolution(X)
+    assert betti_ranks(build_complex(X, M)) == [len(X.grade(k)) for k in range(X.num_grades)]
 
 
 def test_minimality_examples():
