@@ -15,12 +15,12 @@ two boundary steps cancel.  Degree restrictions are filters of a built
 complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
 every vertex label does.
 
-Homology is computed by chain-complex reduction: pairs of cells whose
-removal changes no other boundary but by deletion go first, and exact
-rank (``cellres.rank``) runs only on the cells left.  ``FaceIndex``
-does this on a restriction given as a set of face ids, picked by
-per-variable bitmasks, so the exactness test over the lcm lattice
-builds no complex per lattice point.
+Homology is computed by coreductions (Mrozek and Batko, 2009): a cell
+with exactly one boundary cell left is removed with that cell, and
+exact rank (``cellres.rank``) runs only on the cells left.
+``FaceIndex`` does this on a restriction given as a set of face ids,
+picked by per-variable bitmasks, so the exactness test over the lcm
+lattice builds no complex per lattice point.
 """
 
 from __future__ import annotations
@@ -300,9 +300,9 @@ class FaceIndex:
     at most it, so the restriction is n bisections and big-integer ANDs.
 
     ``reduced_ranks(ids)`` gives the reduced homology of the subcomplex
-    on a set of face ids closed under boundaries.  It first removes pairs
-    (a, b), a in the boundary of b, where a has no other live coface (a
-    collapse) or b no other live boundary face (a coreduction).  By the
+    on a set of face ids closed under boundaries.  It first removes
+    coreduction pairs (a, b): b has a as its only live boundary face (the
+    coreduction homology algorithm of Mrozek and Batko, 2009).  By the
     Gaussian-elimination lemma of reduction homology (Kaczynski, Mrozek
     and Slusarek, 1998) such a pair with incidence +-1 can be removed
     keeping every reduced homology rank, and the other boundaries change
@@ -348,33 +348,21 @@ class FaceIndex:
         bd, cob = self._bd, self._cob
         live = set(ids)
         nbd = {i: len(bd[i]) for i in live}
-        ncob = dict.fromkeys(live, 0)
-        for i in live:
-            for j, _ in bd[i]:
-                ncob[j] += 1
-        # first in, first out: last in, first out was seen to strand cells
-        # of simplices of dimension 9 and up, which then went to rank
-        todo = deque(i for i in sorted(live) if nbd[i] == 1 or ncob[i] == 1)
+        # first in, first out.  With collapses paired too, last in, first
+        # out stranded cells of simplices of dimension 9 and up, which then
+        # went to rank; coreductions alone left no cell of a g5-class Scarf
+        # complex's restrictions in either order
+        todo = deque(i for i in sorted(live) if nbd[i] == 1)
         while todo:
-            a = todo.popleft()
-            if a not in live:
+            b = todo.popleft()
+            if b not in live or nbd[b] != 1:
                 continue
-            if nbd[a] == 1:
-                b, sign = next(p for p in bd[a] if p[0] in live)
-            elif ncob[a] == 1:
-                b, sign = next(p for p in cob[a] if p[0] in live)
-            else:
-                continue
+            a, sign = next(p for p in bd[b] if p[0] in live)
             if sign != 1 and sign != -1:
                 raise VerificationError(f"faces {a} and {b}: incidence {sign} is not a unit")
             live.discard(a)
             live.discard(b)
             for c in (a, b):
-                for j, _ in bd[c]:
-                    if j in live:
-                        ncob[j] -= 1
-                        if ncob[j] == 1:
-                            todo.append(j)
                 for j, _ in cob[c]:
                     if j in live:
                         nbd[j] -= 1
@@ -408,8 +396,8 @@ class FaceIndex:
 def reduced_homology_ranks(X: LabeledComplex):
     """Ranks of reduced homology over the rationals, for k = -1 .. dim X.
 
-    Entry [k+1] of the result is the rank in degree k.  Pairs of cells
-    are reduced away first and exact rank runs on the rest; see
+    Entry [k+1] of the result is the rank in degree k.  Coreduction
+    pairs are removed first and exact rank runs on the rest; see
     ``FaceIndex``.
     """
     return FaceIndex(X).reduced_ranks(range(len(X.faces)))
@@ -417,7 +405,7 @@ def reduced_homology_ranks(X: LabeledComplex):
 
 def is_acyclic(X: LabeledComplex) -> bool:
     """Empty (no nonempty faces) or zero reduced homology throughout."""
-    return not X.has_nonempty_faces() or not any(reduced_homology_ranks(X))
+    return FaceIndex(X).is_acyclic(range(len(X.faces)))
 
 
 def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):

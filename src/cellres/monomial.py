@@ -76,10 +76,6 @@ class Monomial:
             raise ValueError(f"{other!r} does not divide {self!r}")
         return Monomial(a - b for a, b in zip(self.exps, other.exps))
 
-    def times(self, other: Monomial) -> Monomial:
-        _check_dims(self, other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
-
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented

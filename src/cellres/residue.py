@@ -167,15 +167,16 @@ def annihilator_bounds(current: ResidueCurrent):
     annihilated; unknown entries might.  So intersecting annihilators of
     {nonzero, unknown} entries under-approximates and {nonzero} alone
     over-approximates: lower <= M <= upper, with equality on both sides
-    when no entry is unknown.
+    when no entry is unknown.  Intersection is idempotent, so each
+    distinct annihilator is intersected once, and lower extends upper.
     """
-    n = current.resolution.ideal.nvars
-    lower = unit_ideal(n)
-    for e in current.with_status(NONZERO, UNKNOWN):
-        lower = lower.intersect(e.annihilator.as_ideal())
-    upper = unit_ideal(n)
-    for e in current.with_status(NONZERO):
-        upper = upper.intersect(e.annihilator.as_ideal())
+    def meet(ideal, entries):
+        for ann in dict.fromkeys(e.annihilator for e in entries):
+            ideal = ideal.intersect(ann.as_ideal())
+        return ideal
+
+    upper = meet(unit_ideal(current.resolution.ideal.nvars), current.with_status(NONZERO))
+    lower = meet(upper, current.with_status(UNKNOWN))
     return lower, upper
 
 

@@ -13,6 +13,7 @@ unit, i.e. incident faces never share a label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from cellres.complexes import VERTEX_CAP, FaceIndex, LabeledComplex, lcm_lattice
 from cellres.errors import LabelMismatchError, NotMinimalError, NotResolutionError
@@ -58,12 +59,11 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     diffs = []
     for k in range(1, X.num_grades):
         first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
-        entries = []
+        entries = []  # in (col, row) order: each face's boundary is sorted by id
         for col, face in enumerate(X.grade(k)):
             for sid, sign in face.boundary:
                 quotient = face.label.quotient(X.face(sid).label)
                 entries.append(DiffEntry(sid - first, col, sign, quotient))
-        entries.sort(key=lambda e: (e.col, e.row))
         diffs.append(tuple(entries))
     return FreeComplex(M, X, ranks, tuple(diffs),
                        exact=is_resolution(X, cap), minimal=is_minimal(diffs))
@@ -78,8 +78,7 @@ def verify_chain(F: FreeComplex) -> bool:
         acc = {}
         for e2 in F.diffs[k + 1]:
             for e1 in lower.get(e2.row, ()):
-                exps = e1.quotient.times(e2.quotient).exps
-                key = (e1.row, e2.col, exps)
+                key = (e1.row, e2.col, tuple(map(add, e1.quotient.exps, e2.quotient.exps)))
                 acc[key] = acc.get(key, 0) + e1.sign * e2.sign
         if any(acc.values()):
             return False

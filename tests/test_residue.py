@@ -5,7 +5,7 @@ import pytest
 from cellres.complexes import polyhedral_from_incidence, simplicial_from_facets, taylor_complex
 from cellres.decompose import decompose_brute, decompose_scarf, primary_grouping
 from cellres.errors import LabelMismatchError, NotResolutionError
-from cellres.monomial import IrreducibleIdeal
+from cellres.monomial import IrreducibleIdeal, unit_ideal
 from cellres.residue import (
     NONZERO,
     UNKNOWN,
@@ -24,6 +24,7 @@ from conftest import (
     hull_specs,
     mk,
     random_generic_ideal,
+    random_ideal,
     random_staircase,
     three_gen_nonartinian,
     xy_square,
@@ -190,6 +191,33 @@ def test_bounds_before_classification():
     lower, upper = annihilator_bounds(R)
     assert lower.subset_of(M)
     assert upper.is_unit()
+
+
+def two_loop_bounds(current):
+    """The bounds intersected entry by entry, lower and upper each from
+    the unit ideal: the reference for annihilator_bounds."""
+    lower = upper = unit_ideal(current.resolution.ideal.nvars)
+    for e in current.with_status(NONZERO, UNKNOWN):
+        lower = lower.intersect(e.annihilator.as_ideal())
+    for e in current.with_status(NONZERO):
+        upper = upper.intersect(e.annihilator.as_ideal())
+    return lower, upper
+
+
+def test_bounds_equal_the_two_loop_form():
+    rng = random.Random(431)
+    classified_with_unknown = 0
+    for _ in range(30):
+        n, r = rng.randint(2, 3), rng.randint(2, 6)
+        M = random_ideal(rng, n, r, maxdeg=4)  # some tie, and their Taylor currents keep unknowns
+        G = random_generic_ideal(rng, n, r, artinian=rng.random() < 0.5)
+        unclassified = residue_current(build_complex(taylor_complex(M), M))
+        currents = [classified(M, taylor_complex(M)), classified(G, scarf_complex(G)),
+                    classified(G, taylor_complex(G))]
+        classified_with_unknown += sum(bool(R.with_status(UNKNOWN)) for R in currents)
+        for R in (unclassified, *currents):
+            assert annihilator_bounds(R) == two_loop_bounds(R)
+    assert classified_with_unknown > 0
 
 
 def test_monotone_under_adding_faces():

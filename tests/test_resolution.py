@@ -131,6 +131,12 @@ def test_minimality_examples():
     assert F.minimal
     assert is_resolution(hull)
 
+    # entries come out in (col, row) order, each once, with no sort
+    for G in (taylor, scarf, F):
+        for diff in G.diffs:
+            keys = [(e.col, e.row) for e in diff]
+            assert keys == sorted(set(keys))
+
 
 def test_minimality_three_ways_agree():
     rng = random.Random(107)
