@@ -49,6 +49,7 @@ from cellres.resolution import (
     FreeComplex,
     betti_ranks,
     build_complex,
+    differential,
     is_minimal,
     is_resolution,
     verify_chain,
@@ -91,6 +92,7 @@ __all__ = [
     "FreeComplex",
     "betti_ranks",
     "build_complex",
+    "differential",
     "is_minimal",
     "is_resolution",
     "verify_chain",

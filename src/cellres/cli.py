@@ -37,7 +37,7 @@ from cellres.ioformats import (
 )
 from cellres.monomial import Monomial
 from cellres.residue import VERDICT_EXACT, duality_check
-from cellres.resolution import build_complex, verify_chain
+from cellres.resolution import build_complex, differential, verify_chain
 from cellres.scarf import facet_pairs, scarf_complex, star_ideal
 from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
 
@@ -152,9 +152,9 @@ def _cmd_resolve(args):
         "is_minimal": F.minimal,
         "ranks": list(F.ranks),
         "differentials": [
-            [{"row": e.row, "col": e.col, "sign": e.sign, "quotient": list(e.quotient.exps)}
-             for e in diff]
-            for diff in F.diffs
+            [{"row": row, "col": col, "sign": sign, "quotient": list(quotient)}
+             for row, col, sign, quotient in differential(F, k)]
+            for k in range(1, F.complex.num_grades)
         ],
     }
     lines = [
@@ -285,7 +285,8 @@ def _cmd_verify(args):
 
     def check_taylor():
         if M.num_gens > 10:
-            raise CapExceededError("more than 10 generators")
+            raise CapExceededError(
+                f"{M.num_gens} generators exceeds the Taylor check's limit of 10")
         F = _free_complex("taylor", M, args.cap_vertices)
         if not verify_chain(F):
             raise VerificationError("composition of differentials is nonzero")

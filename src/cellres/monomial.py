@@ -49,9 +49,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not any(self.exps)
 
-    def degree(self, i: int) -> int:
-        return self.exps[i]
-
     def divides(self, other: Monomial) -> bool:
         _check_dims(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
@@ -69,12 +66,6 @@ class Monomial:
             # no variable divides 1, so the condition is vacuous
             return True
         return all(a < b if b else a == 0 for a, b in zip(self.exps, other.exps))
-
-    def quotient(self, other: Monomial) -> Monomial:
-        """self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):

@@ -2,46 +2,34 @@
 
 ``build_complex`` turns a labeled complex into the graded complex of
 free modules whose differential sends a face basis element to the
-signed sum of its boundary faces scaled by label quotients.  It decides
-exactness and minimality once, as the ``exact`` and ``minimal`` fields
-every consumer reads.  Exactness is combinatorial: the complex resolves
-the ideal iff every degree-restricted subcomplex is acyclic, checked
-over the lcm lattice.  Minimality means no differential entry is a
-unit, i.e. incident faces never share a label.
+signed sum of its boundary faces scaled by label quotients.  X fixes
+that differential, so F stores none: ``differential(F, k)`` reads one
+map off X when asked.  ``build_complex`` decides exactness and
+minimality once, as the ``exact`` and ``minimal`` fields every consumer
+reads.  Exactness is combinatorial: the complex resolves the ideal iff
+every degree-restricted subcomplex is acyclic, checked over the lcm
+lattice.  Minimality means no differential entry is a unit, i.e.
+incident faces never share a label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from cellres.complexes import VERTEX_CAP, FaceIndex, LabeledComplex, lcm_lattice
 from cellres.errors import LabelMismatchError, NotMinimalError, NotResolutionError
-from cellres.monomial import Monomial, MonomialIdeal
-
-
-@dataclass(frozen=True)
-class DiffEntry:
-    """One nonzero matrix entry: sign * quotient at (row, col)."""
-
-    row: int
-    col: int
-    sign: int
-    quotient: Monomial
+from cellres.monomial import MonomialIdeal
 
 
 @dataclass(frozen=True)
 class FreeComplex:
-    """Ranks, sparse differentials, exactness, minimality.
-
-    ``diffs[k-1]`` is the matrix from grade k to grade k-1, rows and
-    columns indexed by the canonical face order within each grade.
-    """
+    """Ranks, exactness and minimality of the free complex supported on
+    ``complex``; ``differential(F, k)`` gives its maps."""
 
     ideal: MonomialIdeal
     complex: LabeledComplex
     ranks: tuple
-    diffs: tuple
     exact: bool
     minimal: bool
 
@@ -56,32 +44,43 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     if {m.exps for m in X.vertex_labels()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
     ranks = tuple(len(X.grade(k)) for k in range(X.num_grades))
-    diffs = []
-    for k in range(1, X.num_grades):
-        first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
-        entries = []  # in (col, row) order: each face's boundary is sorted by id
-        for col, face in enumerate(X.grade(k)):
-            for sid, sign in face.boundary:
-                quotient = face.label.quotient(X.face(sid).label)
-                entries.append(DiffEntry(sid - first, col, sign, quotient))
-        diffs.append(tuple(entries))
-    return FreeComplex(M, X, ranks, tuple(diffs),
-                       exact=is_resolution(X, cap), minimal=is_minimal(diffs))
+    return FreeComplex(M, X, ranks, exact=is_resolution(X, cap), minimal=is_minimal(X))
+
+
+def differential(F: FreeComplex, k: int) -> tuple:
+    """The map from grade k to grade k-1 as (row, col, sign, quotient)
+    tuples in (col, row) order, each face's boundary being sorted by id.
+
+    Rows and columns index the canonical face order within each grade;
+    ``quotient`` is the face label's exponents minus the boundary face
+    label's.  It is never negative: a boundary face's vertices lie among
+    its face's (by construction for simplicial complexes; a polyhedral
+    face's vertex set is built bottom-up as the union of its boundary
+    faces'), and labels are lcms of vertex labels, so a boundary label
+    divides its face's label.
+    """
+    X = F.complex
+    face = X.face
+    first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
+    return tuple((sid - first, col, sign, tuple(map(sub, f.label.exps, face(sid).label.exps)))
+                 for col, f in enumerate(X.grade(k)) for sid, sign in f.boundary)
 
 
 def verify_chain(F: FreeComplex) -> bool:
     """Check f_k . f_{k+1} = 0 exactly, as matrices of polynomials."""
-    for k in range(len(F.diffs) - 1):
-        lower = {}
-        for e in F.diffs[k]:
-            lower.setdefault(e.col, []).append(e)
+    lower = {}  # the map one grade down, by column
+    for k in range(1, F.complex.num_grades):
+        upper = differential(F, k)
         acc = {}
-        for e2 in F.diffs[k + 1]:
-            for e1 in lower.get(e2.row, ()):
-                key = (e1.row, e2.col, tuple(map(add, e1.quotient.exps, e2.quotient.exps)))
-                acc[key] = acc.get(key, 0) + e1.sign * e2.sign
+        for row, col, sign, quotient in upper:
+            for row1, sign1, quotient1 in lower.get(row, ()):
+                key = (row1, col, tuple(map(add, quotient1, quotient)))
+                acc[key] = acc.get(key, 0) + sign1 * sign
         if any(acc.values()):
             return False
+        lower = {}
+        for row, col, sign, quotient in upper:
+            lower.setdefault(col, []).append((row, sign, quotient))
     return True
 
 
@@ -96,10 +95,11 @@ def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
     return all(index.is_acyclic(index.leq(beta.exps)) for beta in points)
 
 
-def is_minimal(diffs) -> bool:
-    """No unit entry in the differentials; equivalently, incident faces
-    always have distinct labels."""
-    return not any(e.quotient.is_unit() for diff in diffs for e in diff)
+def is_minimal(X: LabeledComplex) -> bool:
+    """No face has the same label as one of its boundary faces;
+    equivalently, no differential entry is a unit."""
+    labels = [f.label.exps for f in X.faces]
+    return all(labels[sid] != f.label.exps for f in X.faces for sid, _ in f.boundary)
 
 
 def betti_ranks(F: FreeComplex):

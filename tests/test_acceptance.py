@@ -23,7 +23,7 @@ from cellres.residue import (
     duality_check,
     residue_current,
 )
-from cellres.resolution import build_complex, is_resolution, verify_chain
+from cellres.resolution import build_complex, differential, is_resolution, verify_chain
 from cellres.scarf import scarf_complex, scarf_pairs
 from conftest import (
     five_gen_nongeneric,
@@ -209,7 +209,8 @@ def test_criterion_08_minimality_equivalences():
         by_entries = F.minimal
         by_labels = all(X.face(sid).label != f.label
                         for f in X.faces for sid, _ in f.boundary)
-        by_units = not any(e.quotient.is_unit() for d in F.diffs for e in d)
+        by_units = not any(not any(quotient) for k in range(1, X.num_grades)
+                           for *_, quotient in differential(F, k))
         if not (by_entries == by_labels == by_units):
             ok = False
             break

@@ -257,13 +257,14 @@ def test_cli_verify_reports_skipped_taylor_check(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     taylor = [c for c in doc["checks"] if c["name"] == "taylor-resolution"]
     assert taylor == [{"name": "taylor-resolution", "passed": None, "skipped": True,
-                       "detail": "more than 10 generators"}]
+                       "detail": "11 generators exceeds the Taylor check's limit of 10"}]
     ran = [c for c in doc["checks"] if c["name"] != "taylor-resolution"]
     assert ran and all(c["passed"] is True and "skipped" not in c for c in ran)
     assert doc["all_passed"] is True
     assert main(["verify", path]) == 0
     out = capsys.readouterr().out
-    assert "skip taylor-resolution: more than 10 generators" in out.splitlines()
+    assert ("skip taylor-resolution: 11 generators exceeds the Taylor check's limit of 10"
+            in out.splitlines())
     assert "ok taylor-resolution" not in out and out.endswith("all checks passed\n")
 
 
@@ -398,6 +399,27 @@ def test_cli_decides_exactness_once(tmp_path, capsys, monkeypatch, command):
         assert main([command, path]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+
+def test_cli_derives_differentials_only_where_read(tmp_path, capsys, monkeypatch):
+    # residue and minimal decomposition read F's exact and minimal fields, never its maps
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "differential")
+    M = generic_artinian_antichain(random.Random(73), 3, 6)
+    path = _write(tmp_path, "m.txt", ideal_text(M))
+    minimal = ["decompose", path, "--method", "minimal", "--complex", "scarf"]
+    for argv in (["residue", path], minimal):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == []
+    # resolve reads each map twice: once in the chain check, once in its JSON
+    assert main(["resolve", path, "--complex", "scarf", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(k for _, k in calls) == sorted(2 * [1, 2, 3])
+    # a simplex of dimension k - 1 in grade k has k boundary faces
+    sizes = [k * r for k, r in enumerate(doc["ranks"]) if k]
+    assert [len(diff) for diff in doc["differentials"]] == sizes
 
 
 def test_cli_verify_decides_each_complex_once(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,15 @@
 import random
 from dataclasses import replace
+from operator import sub
 
 import pytest
 
-from cellres.complexes import lcm_lattice, simplicial_from_facets, taylor_complex
+from cellres.complexes import LabeledComplex, lcm_lattice, simplicial_from_facets, taylor_complex
 from cellres.errors import CapExceededError, LabelMismatchError, NotMinimalError
 from cellres.resolution import (
-    DiffEntry,
     betti_ranks,
     build_complex,
+    differential,
     is_resolution,
     verify_chain,
 )
@@ -28,9 +29,9 @@ def test_build_first_differential_is_generator_row():
     M = xy_square()
     F = build_complex(taylor_complex(M), M)
     assert F.ranks == (1, 3, 3, 1)
-    first = F.diffs[0]
-    assert all(e.row == 0 and e.sign == 1 for e in first)
-    assert [e.quotient.exps for e in first] == [g.exps for g in M.gens]
+    first = differential(F, 1)
+    assert all(row == 0 and sign == 1 for row, _, sign, _ in first)
+    assert [quotient for *_, quotient in first] == [g.exps for g in M.gens]
 
 
 def test_build_edge_entries_match_label_quotients():
@@ -40,7 +41,7 @@ def test_build_edge_entries_match_label_quotients():
     F = build_complex(X, M)
     edge_pos = {tuple(sorted(f.vertices)): i for i, f in enumerate(X.grade(2))}
     col = edge_pos[(1, 2)]
-    entries = {e.row: (e.sign, e.quotient.exps) for e in F.diffs[1] if e.col == col}
+    entries = {row: (sign, quotient) for row, c, sign, quotient in differential(F, 2) if c == col}
     # lcm(x*y, x^2) = x^2*y over vertices xy (row 1) and x^2 (row 2)
     assert entries == {1: (-1, (1, 0)), 2: (1, (0, 1))}
 
@@ -50,7 +51,7 @@ def test_single_generator():
     X = simplicial_from_facets(M.gens, [(0,)])
     F = build_complex(X, M)
     assert F.ranks == (1, 1)
-    assert len(F.diffs) == 1
+    assert differential(F, 1) == ((0, 0, 1, (3, 1)),)
     assert verify_chain(F)
     assert betti_ranks(F) == [1, 1]
 
@@ -74,10 +75,13 @@ def test_chain_condition_holds_and_detects_corruption():
     M = five_gen_nongeneric()
     F = build_complex(taylor_complex(M), M)
     assert verify_chain(F)
-    e = F.diffs[1][0]
-    bad = list(F.diffs[1])
-    bad[0] = DiffEntry(e.row, e.col, -e.sign, e.quotient)
-    G = replace(F, diffs=(F.diffs[0], tuple(bad)) + F.diffs[2:])
+    # flip one boundary sign of the first edge; F's maps are read off X
+    X = F.complex
+    edge = X.grade(2)[0]
+    (sid, sign), *rest = edge.boundary
+    faces = list(X.faces)
+    faces[edge.id] = replace(edge, boundary=((sid, -sign), *rest))
+    G = replace(F, complex=LabeledComplex(X.labels, tuple(faces)))
     assert not verify_chain(G)
 
 
@@ -131,11 +135,20 @@ def test_minimality_examples():
     assert F.minimal
     assert is_resolution(hull)
 
-    # entries come out in (col, row) order, each once, with no sort
+    # entries come out in (col, row) order, each once, with no sort, and
+    # each quotient is the face's label over its boundary face's, a monomial
     for G in (taylor, scarf, F):
-        for diff in G.diffs:
-            keys = [(e.col, e.row) for e in diff]
+        X = G.complex
+        for k in range(1, X.num_grades):
+            diff = differential(G, k)
+            keys = [(col, row) for row, col, _, _ in diff]
             assert keys == sorted(set(keys))
+            rows, cols = X.grade(k - 1), X.grade(k)
+            expected = tuple((rows.index(X.face(sid)), col, sign,
+                              tuple(map(sub, f.label.exps, X.face(sid).label.exps)))
+                             for col, f in enumerate(cols) for sid, sign in f.boundary)
+            assert diff == expected
+            assert all(min(quotient) >= 0 for *_, quotient in diff)
 
 
 def test_minimality_three_ways_agree():
@@ -147,7 +160,8 @@ def test_minimality_three_ways_agree():
         by_entries = F.minimal
         by_labels = all(X.face(sid).label != f.label
                         for f in X.faces for sid, _ in f.boundary)
-        by_units = not any(not any(e.quotient.exps) for d in F.diffs for e in d)
+        by_units = not any(not any(quotient) for k in range(1, X.num_grades)
+                           for *_, quotient in differential(F, k))
         assert by_entries == by_labels == by_units
 
 
