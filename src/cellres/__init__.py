@@ -33,7 +33,6 @@ from cellres.monomial import (
     MonomialIdeal,
     lcm,
     lcm_many,
-    minimalize,
     unit_ideal,
 )
 from cellres.residue import (
@@ -80,7 +79,6 @@ __all__ = [
     "MonomialIdeal",
     "lcm",
     "lcm_many",
-    "minimalize",
     "unit_ideal",
     "DualityReport",
     "ResidueCurrent",

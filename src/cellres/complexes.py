@@ -90,23 +90,14 @@ class LabeledComplex:
     def num_grades(self) -> int:
         return len(self._starts) - 1
 
-    def face(self, ident: int) -> Face:
-        return self.faces[ident]
-
     def vertices(self):
         """Vertex indices present in the complex, sorted."""
         return tuple(sorted(next(iter(f.vertices)) for f in self.grade(1)))
-
-    def vertex_labels(self):
-        return tuple(self.labels[v] for v in self.vertices())
 
     def facets(self):
         """Maximal nonempty faces: those in no face's boundary."""
         bounded = {i for f in self.faces for i, _ in f.boundary}
         return tuple(f for f in self.faces if f.dim >= 0 and f.id not in bounded)
-
-    def has_nonempty_faces(self) -> bool:
-        return self.dim >= 0
 
     def __repr__(self):
         counts = [len(self.grade(k)) for k in range(self.num_grades)]
@@ -118,72 +109,6 @@ def _labels(labels) -> tuple:
     if any(m.nvars != labels[0].nvars for m in labels):
         raise DimensionMismatch("vertex labels have mixed variable counts")
     return labels
-
-
-def _build_complex(labels, entries) -> LabeledComplex:
-    """Validate a polyhedral face table and produce the canonical complex.
-
-    ``entries`` maps key -> (dim, vertices, boundary list of (key, sign)).
-    The empty face sits under the key (); each vertex gives its one
-    index and the boundary ((), +1); higher faces give None and derive
-    their vertices bottom-up from their boundaries.
-    """
-    labels = _labels(labels)
-    by_dim = sorted(entries.items(), key=lambda kv: kv[1][0])
-    vertices = {}
-    seen_vertices = set()
-    for key, (dim, verts, boundary) in by_dim:
-        if dim == -1:
-            vertices[key] = frozenset()
-            continue
-        if dim == 0:
-            v = next(iter(verts))
-            if not 0 <= v < len(labels):
-                raise InvalidComplexError(f"vertex index {v} out of range")
-            if v in seen_vertices:
-                raise InvalidComplexError(f"vertex index {v} declared twice")
-            seen_vertices.add(v)
-            vertices[key] = frozenset(verts)
-            continue
-        sub_verts = set()
-        for sub_key, sign in boundary:
-            if sub_key not in entries:
-                raise InvalidComplexError(f"face {key!r}: boundary face {sub_key!r} missing")
-            if entries[sub_key][0] != dim - 1:
-                raise InvalidComplexError(f"face {key!r}: non-graded boundary")
-            if sign not in (1, -1):
-                raise InvalidComplexError(f"face {key!r}: sign must be +1 or -1")
-            sub_verts |= vertices[sub_key]
-        if len({sk for sk, _ in boundary}) != len(boundary):
-            raise InvalidComplexError(f"face {key!r}: repeated boundary face")
-        if len(sub_verts) < dim + 1:
-            raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
-        vertices[key] = frozenset(sub_verts)
-
-    # two boundary steps must cancel; checked on keys for a better message
-    for key, (dim, _, boundary) in entries.items():
-        if dim < 1:
-            continue
-        acc = {}
-        for sub_key, sign in boundary:
-            for sub2_key, sign2 in entries[sub_key][2]:
-                acc[sub2_key] = acc.get(sub2_key, 0) + sign * sign2
-        if any(acc.values()):
-            raise InvalidComplexError(f"face {key!r}: boundary of boundary is nonzero")
-
-    order = sorted(entries, key=lambda k: (entries[k][0], sorted(vertices[k]), str(k)))
-    ids = {key: i for i, key in enumerate(order)}
-    faces = []
-    for key in order:
-        dim, _, boundary = entries[key]
-        faces.append(Face(
-            id=ids[key],
-            vertices=vertices[key],
-            dim=dim,
-            boundary=tuple(sorted((ids[sk], s) for sk, s in boundary)),
-            label=lcm_many((labels[v] for v in vertices[key]), labels[0].nvars if labels else 0),
-        ))
-    return LabeledComplex(labels, tuple(faces))
 
 
 def simplicial_from_facets(labels, facets) -> LabeledComplex:
@@ -225,28 +150,72 @@ def simplicial_from_facets(labels, facets) -> LabeledComplex:
 
 
 def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
-    """Build from explicit faces with signed boundary lists.
+    """Build from explicit faces with signed boundary lists, validated once.
 
     Each spec is a mapping with "id", "dim", and either "vertex" (an
     index into ``labels``, for dim 0) or "boundary" (a list of
-    [face id, sign] pairs, for dim >= 1).  The empty face is implicit.
+    [face id, sign] pairs, for dim >= 1).  The empty face is implicit:
+    it is every vertex's boundary, with sign +1.  A face's vertex set is
+    built bottom-up as the union of its boundary faces'.
     """
-    entries = {(): (-1, None, ())}
+    specs = {}  # face id -> (dim, vertex index for dim 0, else boundary pairs)
     for spec in face_specs:
         key = spec["id"]
         dim = _int(spec["dim"])
-        if isinstance(key, tuple):
-            raise InvalidComplexError("face ids must be strings or integers")
-        if key in entries:
+        if key in specs:
             raise InvalidComplexError(f"duplicate face id {key!r}")
         if dim == 0:
-            entries[key] = (0, frozenset((_int(spec["vertex"]),)), (((), 1),))
+            specs[key] = (0, _int(spec["vertex"]))
         elif dim >= 1:
-            boundary = tuple((b, _int(s)) for b, s in spec["boundary"])
-            entries[key] = (dim, None, boundary)
+            specs[key] = (dim, tuple((b, _int(s)) for b, s in spec["boundary"]))
         else:
             raise InvalidComplexError("the empty face is implicit")
-    return _build_complex(labels, entries)
+    labels = _labels(labels)
+
+    vertices = {}
+    declared = set()
+    for key, (dim, part) in sorted(specs.items(), key=lambda kv: kv[1][0]):
+        if dim == 0:
+            if not 0 <= part < len(labels):
+                raise InvalidComplexError(f"vertex index {part} out of range")
+            if part in declared:
+                raise InvalidComplexError(f"vertex index {part} declared twice")
+            declared.add(part)
+            vertices[key] = frozenset((part,))
+            continue
+        sub_verts = set()
+        for sub, sign in part:
+            if sub not in specs:
+                raise InvalidComplexError(f"face {key!r}: boundary face {sub!r} missing")
+            if specs[sub][0] != dim - 1:
+                raise InvalidComplexError(f"face {key!r}: non-graded boundary")
+            if sign not in (1, -1):
+                raise InvalidComplexError(f"face {key!r}: sign must be +1 or -1")
+            sub_verts |= vertices[sub]
+        if len({sub for sub, _ in part}) != len(part):
+            raise InvalidComplexError(f"face {key!r}: repeated boundary face")
+        if len(sub_verts) < dim + 1:
+            raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
+        vertices[key] = frozenset(sub_verts)
+
+    nvars = labels[0].nvars if labels else 0
+    order = sorted(specs, key=lambda k: (specs[k][0], sorted(vertices[k]), str(k)))
+    ids = {key: i for i, key in enumerate(order, 1)}  # id 0 is the empty face
+    faces = [Face(0, frozenset(), -1, (), lcm_many((), nvars))]
+    for key in order:
+        dim, part = specs[key]
+        boundary = ((0, 1),) if dim == 0 else tuple(sorted((ids[b], s) for b, s in part))
+        faces.append(Face(ids[key], vertices[key], dim, boundary,
+                          lcm_many((labels[v] for v in vertices[key]), nvars)))
+    # two boundary steps must cancel, down to the empty face; reported in input order
+    for key in specs:
+        acc = {}
+        for sid, sign in faces[ids[key]].boundary:
+            for sid2, sign2 in faces[sid].boundary:
+                acc[sid2] = acc.get(sid2, 0) + sign * sign2
+        if any(acc.values()):
+            raise InvalidComplexError(f"face {key!r}: boundary of boundary is nonzero")
+    return LabeledComplex(labels, tuple(faces))
 
 
 def _int(v) -> int:
@@ -409,7 +378,8 @@ def is_acyclic(X: LabeledComplex) -> bool:
 
 
 def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
-    """All lcms of nonempty vertex-label subsets, plus the zero vector.
+    """Exponent tuples of all lcms of nonempty vertex-label subsets, plus
+    the zero vector, sorted.
 
     Restricting X below any degree is the same as restricting below some
     lattice point, so acyclicity checks only need these degrees.  It is
@@ -423,4 +393,4 @@ def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
     for v in verts:
         g = X.labels[v].exps
         found |= {tuple(map(max, x, g)) for x in found}
-    return tuple(Monomial(e) for e in sorted(found))
+    return tuple(sorted(found))

@@ -107,18 +107,18 @@ def decompose_minimal(F: FreeComplex) -> Decomposition:
     return dec
 
 
-def _candidate_values(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP):
+def _candidate_values(M: MonomialIdeal):
     """Per-variable values of ``decompose_brute``'s candidate vectors; their
-    count past ``candidate_cap`` raises.  Cheap, so run before costly work."""
+    count past ``CANDIDATE_CAP`` raises.  Cheap, so run before costly work."""
     value_sets = [sorted({0} | {g.exps[i] for g in M.gens if g.exps[i] > 0})
                   for i in range(M.nvars)]
     total = math.prod(map(len, value_sets))
-    if total > candidate_cap:
-        raise CapExceededError(f"{total} candidate vectors exceeds the cap {candidate_cap}")
+    if total > CANDIDATE_CAP:
+        raise CapExceededError(f"{total} candidate vectors exceeds the cap {CANDIDATE_CAP}")
     return value_sets
 
 
-def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Decomposition:
+def decompose_brute(M: MonomialIdeal) -> Decomposition:
     """Oracle decomposition by direct enumeration.
 
     Scan candidate exponent vectors b (with b_i = 0 or b_i a degree some
@@ -141,7 +141,7 @@ def decompose_brute(M: MonomialIdeal, candidate_cap: int = CANDIDATE_CAP) -> Dec
     M.require_nonzero()
     if M.is_unit():
         return Decomposition(M, (), METHOD_BRUTE)
-    value_sets = _candidate_values(M, candidate_cap)
+    value_sets = _candidate_values(M)
     gens_exps = [g.exps for g in M.gens]
     containing = set()
     for b in itertools.product(*value_sets):

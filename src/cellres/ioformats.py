@@ -34,8 +34,7 @@ def default_var_names(n: int):
     return tuple(f"z{i + 1}" for i in range(n))
 
 
-def monomial_str(m: Monomial, names=None) -> str:
-    names = names or default_var_names(m.nvars)
+def monomial_str(m: Monomial, names) -> str:
     parts = []
     for i, e in enumerate(m.exps):
         if e == 1:
@@ -45,7 +44,7 @@ def monomial_str(m: Monomial, names=None) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def ideal_str(M: MonomialIdeal, names=None) -> str:
+def ideal_str(M: MonomialIdeal, names) -> str:
     return "(" + ", ".join(monomial_str(g, names) for g in M.gens) + ")"
 
 
@@ -56,7 +55,7 @@ def ideal_text(M: MonomialIdeal, names=None) -> str:
             f"ideal: {', '.join(monomial_str(g, names) for g in M.gens)}\n")
 
 
-def irreducible_str(irr: IrreducibleIdeal, names=None) -> str:
+def irreducible_str(irr: IrreducibleIdeal, names) -> str:
     return ideal_str(irr.as_ideal(), names)
 
 
@@ -242,8 +241,7 @@ def parse_complex(text: str):
     return X, (None if names is None else _json_names(names, X.nvars))
 
 
-def ideal_doc(M: MonomialIdeal, names=None) -> dict:
-    names = names or default_var_names(M.nvars)
+def ideal_doc(M: MonomialIdeal, names) -> dict:
     return {
         "nvars": M.nvars,
         "vars": list(names),
@@ -252,8 +250,7 @@ def ideal_doc(M: MonomialIdeal, names=None) -> dict:
     }
 
 
-def complex_doc(X: LabeledComplex, names=None) -> dict:
-    names = names or default_var_names(X.nvars)
+def complex_doc(X: LabeledComplex, names) -> dict:
     simplicial = all(len(f.vertices) == f.dim + 1 for f in X.faces if f.dim >= 0)
     faces = []
     for f in X.faces:
@@ -281,8 +278,7 @@ def complex_doc(X: LabeledComplex, names=None) -> dict:
     }
 
 
-def decomposition_doc(dec, names=None) -> dict:
-    names = names or default_var_names(dec.ideal.nvars)
+def decomposition_doc(dec, names) -> dict:
     return {
         "method": dec.method,
         "components": [list(c.exponent.exps) for c in dec.components],
@@ -292,8 +288,7 @@ def decomposition_doc(dec, names=None) -> dict:
     }
 
 
-def dbar_factors_str(entry, names=None) -> str:
-    names = names or default_var_names(entry.alpha.nvars)
+def dbar_factors_str(entry, names) -> str:
     parts = []
     for i in sorted(entry.K):
         e = entry.alpha.exps[i]
@@ -302,8 +297,7 @@ def dbar_factors_str(entry, names=None) -> str:
     return "∧".join(parts)
 
 
-def residue_entry_doc(entry, names=None) -> dict:
-    names = names or default_var_names(entry.alpha.nvars)
+def residue_entry_doc(entry, names) -> dict:
     return {
         "K": sorted(entry.K),
         "tau": sorted(entry.tau),
@@ -318,16 +312,14 @@ def residue_entry_doc(entry, names=None) -> dict:
     }
 
 
-def residue_doc(current, names=None) -> dict:
-    names = names or default_var_names(current.resolution.ideal.nvars)
+def residue_doc(current, names) -> dict:
     return {
         "ideal": ideal_doc(current.resolution.ideal, names),
         "entries": [residue_entry_doc(e, names) for e in current.entries],
     }
 
 
-def duality_doc(report, names=None) -> dict:
-    names = names or default_var_names(report.lower.nvars)
+def duality_doc(report, names) -> dict:
     return {
         "verdict": report.verdict,
         "lower": [list(g.exps) for g in report.lower.gens],
@@ -337,8 +329,7 @@ def duality_doc(report, names=None) -> dict:
     }
 
 
-def pairs_doc(pairs, names, nvars) -> list:
-    names = names or default_var_names(nvars)
+def pairs_doc(pairs, names) -> list:
     return [{
         "K": sorted(p.K),
         "K_vars": [names[i] for i in sorted(p.K)],

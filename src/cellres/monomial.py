@@ -107,18 +107,6 @@ def lcm_many(monomials, nvars: int) -> Monomial:
     return Monomial(acc)
 
 
-def minimalize(gens) -> tuple:
-    """Drop every generator divisible by another; dedupe; sort.
-
-    The result generates the same ideal and is its unique minimal
-    generating set.
-    """
-    unique = {m.exps for m in gens}
-    if len({len(e) for e in unique}) > 1:
-        raise DimensionMismatch("generators over different numbers of variables")
-    return tuple(_monomial(e) for e in _minimal_exps(unique))
-
-
 def _monomial(exps) -> Monomial:
     # trusted: exps is already a tuple of nonnegative ints
     m = object.__new__(Monomial)

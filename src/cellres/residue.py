@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from cellres.complexes import VERTEX_CAP
 from cellres.decompose import decompose_brute
-from cellres.errors import NotResolutionError, VerificationError
+from cellres.errors import NotResolutionError
 from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, unit_ideal
 from cellres.resolution import FreeComplex
 from cellres.scarf import scarf_pairs
@@ -211,9 +211,3 @@ def duality_check(F: FreeComplex, cap: int = VERTEX_CAP) -> DualityReport:
         verdict = VERDICT_VIOLATED
     return DualityReport(verdict, lower, upper, current)
 
-
-def check_classification(current: ResidueCurrent):
-    """Re-verify soundness of the zero rule; raises on any violation."""
-    for e in current.entries:
-        if e.status == ZERO and current.resolution.ideal.contained_in(e.annihilator):
-            raise VerificationError(f"entry {sorted(e.tau)} marked zero but contains the ideal")

@@ -41,7 +41,7 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     The vertex labels of X must be exactly the minimal generators.
     X with more than ``cap`` vertices raises ``CapExceededError``.
     """
-    if {m.exps for m in X.vertex_labels()} != {g.exps for g in M.gens}:
+    if {X.labels[v].exps for v in X.vertices()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
     ranks = tuple(len(X.grade(k)) for k in range(X.num_grades))
     return FreeComplex(M, X, ranks, exact=is_resolution(X, cap), minimal=is_minimal(X))
@@ -60,17 +60,17 @@ def differential(F: FreeComplex, k: int) -> tuple:
     divides its face's label.
     """
     X = F.complex
-    face = X.face
+    faces = X.faces
     first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
-    return tuple((sid - first, col, sign, tuple(map(sub, f.label.exps, face(sid).label.exps)))
+    return tuple((sid - first, col, sign, tuple(map(sub, f.label.exps, faces[sid].label.exps)))
                  for col, f in enumerate(X.grade(k)) for sid, sign in f.boundary)
 
 
-def verify_chain(F: FreeComplex) -> bool:
-    """Check f_k . f_{k+1} = 0 exactly, as matrices of polynomials."""
+def verify_chain(maps) -> bool:
+    """Check f_k . f_{k+1} = 0 exactly, as matrices of polynomials, on
+    the maps ``differential(F, k)`` for k = 1, 2, ... in that order."""
     lower = {}  # the map one grade down, by column
-    for k in range(1, F.complex.num_grades):
-        upper = differential(F, k)
+    for upper in maps:
         acc = {}
         for row, col, sign, quotient in upper:
             for row1, sign1, quotient1 in lower.get(row, ()):
@@ -92,7 +92,7 @@ def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
     """
     points = lcm_lattice(X, cap)  # refuses past the cap before X is indexed
     index = FaceIndex(X)
-    return all(index.is_acyclic(index.leq(beta.exps)) for beta in points)
+    return all(index.is_acyclic(index.leq(beta)) for beta in points)
 
 
 def is_minimal(X: LabeledComplex) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from cellres.decompose import decompose_brute
 from cellres.errors import DimensionMismatch
-from cellres.ioformats import default_var_names, monomial_str
+from cellres.ioformats import monomial_str
 from cellres.monomial import Monomial, MonomialIdeal
 
 SVG_UNIT = 32
@@ -30,9 +30,8 @@ def _extent(data):
     return max(p[0] for p in pts) + 2, max(p[1] for p in pts) + 2
 
 
-def ascii_staircase(M: MonomialIdeal, names=None) -> str:
+def ascii_staircase(M: MonomialIdeal, names) -> str:
     """Lattice picture; G = generator, O = component, # = monomial in M."""
-    names = names or default_var_names(2)
     data = staircase_data(M)
     width, height = _extent(data)
     inner = set(data["inner_corners"])
@@ -56,8 +55,7 @@ def ascii_staircase(M: MonomialIdeal, names=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def svg_staircase(M: MonomialIdeal, names=None) -> str:
-    names = names or default_var_names(2)
+def svg_staircase(M: MonomialIdeal, names) -> str:
     data = staircase_data(M)
     width, height = _extent(data)
     u, mg = SVG_UNIT, SVG_MARGIN

@@ -6,6 +6,7 @@ import random
 import sys
 
 from cellres.monomial import Monomial, MonomialIdeal
+from cellres.resolution import differential
 
 
 def mk(nvars, *exps):
@@ -147,6 +148,11 @@ def generic_artinian_antichain(rng, n, r, degree=40):
     gens = [g.exps for g in random_antichain(rng, n, r, degree, generic=True).gens]
     gens += [tuple(degree + 1 + i if j == i else 0 for j in range(n)) for i in range(n)]
     return MonomialIdeal.from_generators(n, gens)
+
+
+def chain_maps(F):
+    """The maps of F, grade 1 down to 0 first, as ``verify_chain`` takes them."""
+    return [differential(F, k) for k in range(1, F.complex.num_grades)]
 
 
 def count_calls(monkeypatch, module, name):

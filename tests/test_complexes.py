@@ -1,10 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from cellres.complexes import (
-    _build_complex,
     is_acyclic,
     lcm_lattice,
     polyhedral_from_incidence,
@@ -76,7 +76,7 @@ def test_boundary_squares_to_zero():
                 continue
             acc = {}
             for sid, s1 in f.boundary:
-                for s2id, s2 in X.face(sid).boundary:
+                for s2id, s2 in X.faces[sid].boundary:
                     acc[s2id] = acc.get(s2id, 0) + s1 * s2
             assert not any(acc.values())
 
@@ -96,7 +96,7 @@ def test_polyhedral_flipped_sign_rejected():
     for s in specs:
         if s["id"] == "Q":
             s["boundary"] = [["e01", 1], ["e13", -1], ["e34", 1], ["e04", -1]]
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^face 'Q': boundary of boundary is nonzero$"):
         polyhedral_from_incidence(five_gen_nongeneric().gens, specs)
 
 
@@ -112,8 +112,40 @@ def test_polyhedral_non_graded_rejected():
         {"id": "v1", "dim": 0, "vertex": 1},
         {"id": "bad", "dim": 2, "boundary": [["v0", 1], ["v1", -1]]},
     ]
-    with pytest.raises(InvalidComplexError):
+    with pytest.raises(InvalidComplexError, match="^face 'bad': non-graded boundary$"):
         polyhedral_from_incidence(labels((1, 0), (0, 1)), specs)
+
+
+ABC = [{"id": v, "dim": 0, "vertex": i} for i, v in enumerate("abc")]
+
+
+def edge(*boundary):
+    return {"id": "e", "dim": 1, "boundary": [list(p) for p in boundary]}
+
+
+@pytest.mark.parametrize("specs, message", [
+    (ABC + [{"id": "a", "dim": 0, "vertex": 2}], "duplicate face id 'a'"),
+    (ABC + [{"id": "o", "dim": -1}], "the empty face is implicit"),
+    ([{"id": "a", "dim": 0, "vertex": 3}], "vertex index 3 out of range"),
+    ([{"id": "a", "dim": 0, "vertex": -1}], "vertex index -1 out of range"),
+    (ABC + [{"id": "d", "dim": 0, "vertex": 1}], "vertex index 1 declared twice"),
+    (ABC + [edge(["b", 1], [7, -1])], "face 'e': boundary face 7 missing"),
+    (ABC + [{"id": "e", "dim": 2, "boundary": [["b", 1], ["a", -1]]}],
+     "face 'e': non-graded boundary"),
+    (ABC + [edge(["b", 2], ["a", -2])], "face 'e': sign must be +1 or -1"),
+    (ABC + [edge(["a", 1], ["a", -1])], "face 'e': repeated boundary face"),
+    (ABC + [edge(["a", 1])], "face 'e': dimension exceeds vertex count"),
+    # each vertex bounds the empty face with sign +1, so d.d of this edge is 2
+    (ABC + [edge(["b", 1], ["a", 1])], "face 'e': boundary of boundary is nonzero"),
+    # a tuple is an id like any other, held to the same checks
+    (ABC + [{"id": ("a",), "dim": 0, "vertex": 0}, {"id": ("a",), "dim": 0, "vertex": 1}],
+     "duplicate face id ('a',)"),
+], ids=["duplicate-id", "empty-face", "vertex-too-large", "negative-vertex", "vertex-twice",
+        "missing-boundary-face", "non-graded", "sign", "repeated-boundary-face",
+        "dimension-exceeds-vertices", "edge-boundary-of-boundary", "tuple-id"])
+def test_polyhedral_checks_its_input(specs, message):
+    with pytest.raises(InvalidComplexError, match=f"^{re.escape(message)}$"):
+        polyhedral_from_incidence(L3, specs)
 
 
 def test_restrict_examples():
@@ -124,7 +156,7 @@ def test_restrict_examples():
     Z = restrict_leq(X, Monomial((9, 9)))
     assert len(Z.faces) == len(X.faces)
     W = restrict_leq(X, Monomial((0, 0)))
-    assert not W.has_nonempty_faces()
+    assert W.dim < 0
     assert is_acyclic(W)
 
 
@@ -133,7 +165,8 @@ def test_restrict_equals_induced_subcomplex():
     for _ in range(10):
         M = random_ideal(rng, 3, 4, maxdeg=3)
         X = taylor_complex(M)
-        for beta in lcm_lattice(X):
+        for b in lcm_lattice(X):
+            beta = Monomial(b)
             Y = restrict_leq(X, beta)
             allowed = {v for v in X.vertices() if X.labels[v].divides(beta)}
             induced = {tuple(sorted(f.vertices)) for f in X.faces
@@ -142,16 +175,17 @@ def test_restrict_equals_induced_subcomplex():
             assert got == induced
 
 
+def face_specs(faces):
+    """Face specs of the nonempty ones among ``faces``, ids as they are."""
+    return [{"id": f.id, "dim": 0, "vertex": next(iter(f.vertices))} if f.dim == 0 else
+            {"id": f.id, "dim": f.dim, "boundary": [[sid, s] for sid, s in f.boundary]}
+            for f in faces if f.dim >= 0]
+
+
 def rebuilt_restriction(X, beta):
-    """Oracle: X<=beta rebuilt from a face table (the empty face under
-    the key ()) and validated all over again."""
-    entries = {}
-    for f in X.faces:
-        if f.label.divides(beta):
-            key = f.id if f.dim >= 0 else ()
-            boundary = tuple((sid if X.face(sid).dim >= 0 else (), s) for sid, s in f.boundary)
-            entries[key] = (f.dim, f.vertices if f.dim == 0 else None, boundary)
-    return _build_complex(X.labels, entries)
+    """Oracle: X<=beta rebuilt from face specs and validated all over again."""
+    return polyhedral_from_incidence(X.labels, face_specs(f for f in X.faces
+                                                          if f.label.divides(beta)))
 
 
 def assert_same_complex(got, want):
@@ -164,7 +198,8 @@ def assert_same_complex(got, want):
 
 
 def assert_filter_matches_rebuild(X):
-    for beta in lcm_lattice(X):
+    for b in lcm_lattice(X):
+        beta = Monomial(b)
         assert_same_complex(restrict_leq(X, beta), rebuilt_restriction(X, beta))
 
 
@@ -199,22 +234,19 @@ def test_restrict_matches_rebuild_on_polyhedral():
 
 
 def validated_simplicial(labels, facets):
-    """Oracle: the subset closure of the facets as a face table with
+    """Oracle: the subset closure of the facets as face specs with
     (-1)^j boundaries, validated by the polyhedral route, which derives
-    vertex sets from boundaries, checks d.d = 0 on keys and takes every
-    label as an lcm of vertex labels."""
+    vertex sets from boundaries, checks d.d = 0 down to the empty face
+    and takes every label as an lcm of vertex labels."""
     closure = set()
     for facet in facets:
         vs = tuple(sorted(set(facet)))
         closure.update(c for k in range(1, len(vs) + 1) for c in itertools.combinations(vs, k))
-    entries = {(): (-1, None, ())}
-    for t in closure:
-        if len(t) == 1:
-            entries[t] = (0, frozenset(t), (((), 1),))
-        else:
-            boundary = tuple((t[:j] + t[j + 1:], (-1) ** j) for j in range(len(t)))
-            entries[t] = (len(t) - 1, None, boundary)
-    return _build_complex(labels, entries)
+    specs = [{"id": t, "dim": 0, "vertex": t[0]} if len(t) == 1 else
+             {"id": t, "dim": len(t) - 1,
+              "boundary": [[t[:j] + t[j + 1:], (-1) ** j] for j in range(len(t))]}
+             for t in closure]
+    return polyhedral_from_incidence(labels, specs)
 
 
 def assert_matches_validated(X):
@@ -302,7 +334,7 @@ def test_euler_characteristic_matches_homology():
 
 def test_lcm_lattice_examples():
     X = taylor_complex(xy_square())
-    got = {m.exps for m in lcm_lattice(X)}
+    got = set(lcm_lattice(X))
     # oracle: enumerate all 2^3 - 1 subsets and dedupe
     subsets = set()
     gens = [(0, 2), (1, 1), (2, 0)]
@@ -313,10 +345,10 @@ def test_lcm_lattice_examples():
     assert got == subsets == {(0, 0), (2, 0), (1, 1), (0, 2), (2, 1), (2, 2), (1, 2)}
 
     single = simplicial_from_facets(labels((3, 1)), [(0,)])
-    assert {m.exps for m in lcm_lattice(single)} == {(0, 0), (3, 1)}
+    assert set(lcm_lattice(single)) == {(0, 0), (3, 1)}
 
     twin = simplicial_from_facets(labels((2, 1), (2, 1)), [(0,), (1,)])
-    assert {m.exps for m in lcm_lattice(twin)} == {(0, 0), (2, 1)}
+    assert set(lcm_lattice(twin)) == {(0, 0), (2, 1)}
 
 
 def lattice_by_subsets(X):
@@ -331,8 +363,7 @@ def lattice_by_subsets(X):
 
 
 def assert_lattice_matches_subsets(X):
-    got = [m.exps for m in lcm_lattice(X)]
-    assert got == sorted(lattice_by_subsets(X))
+    assert list(lcm_lattice(X)) == sorted(lattice_by_subsets(X))
 
 
 def test_lcm_lattice_matches_all_subsets():
@@ -348,7 +379,7 @@ def test_lcm_lattice_matches_all_subsets():
                 assert_lattice_matches_subsets(X)
                 # restrictions keep every label, also those of the vertices they drop
                 for beta in rng.sample(lcm_lattice(X), min(4, len(lcm_lattice(X)))):
-                    Y = restrict_leq(X, beta)
+                    Y = restrict_leq(X, Monomial(beta))
                     absent += len(Y.vertices()) < len(Y.labels)
                     assert_lattice_matches_subsets(Y)
     assert absent > 100

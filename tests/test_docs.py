@@ -1,12 +1,15 @@
 """The README's library example and the monomial doctests run as tests,
-so an API change cannot leave the documentation stale."""
+and the export list is pinned to the package namespace, so an API change
+cannot leave the documentation or ``__all__`` stale."""
 
 import contextlib
 import doctest
+import inspect
 import io
 import re
 from pathlib import Path
 
+import cellres
 import cellres.monomial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +33,12 @@ def test_readme_library_example_prints_its_comments():
 def test_monomial_doctests():
     result = doctest.testmod(cellres.monomial)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_export_list_is_the_public_namespace():
+    public = {name for name, value in vars(cellres).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(cellres.__all__) == sorted(public)
+    namespace = {}
+    exec("from cellres import *", namespace)  # an unbound name in __all__ raises here
+    assert public <= namespace.keys()

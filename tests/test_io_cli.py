@@ -20,6 +20,7 @@ from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
 from conftest import (
     count_calls,
     five_gen_nongeneric,
+    g_class,
     generic_artinian_antichain,
     hull_specs,
     mk,
@@ -77,15 +78,15 @@ def test_text_round_trip():
 
 
 def test_monomial_str_forms():
-    assert monomial_str(Monomial((2, 1, 0))) == "x^2*y"
-    assert monomial_str(Monomial((0, 0))) == "1"
-    assert ideal_str(mk(2, (1, 0), (0, 3))) == "(y^3, x)"
+    assert monomial_str(Monomial((2, 1, 0)), "xyz") == "x^2*y"
+    assert monomial_str(Monomial((0, 0)), "xy") == "1"
+    assert ideal_str(mk(2, (1, 0), (0, 3)), "xy") == "(y^3, x)"
 
 
 def test_complex_doc_round_trip_simplicial():
     M = five_gen_nongeneric()
     X = taylor_complex(M)
-    doc = complex_doc(X)
+    doc = complex_doc(X, "xyz")
     assert doc["is_simplicial"]
     back, _ = parse_complex(dumps(doc))
     assert {tuple(sorted(f.vertices)) for f in back.faces} == \
@@ -96,7 +97,7 @@ def test_complex_doc_round_trip_simplicial():
 def test_complex_doc_round_trip_polyhedral():
     M = five_gen_nongeneric()
     X = polyhedral_from_incidence(M.gens, hull_specs())
-    doc = complex_doc(X)
+    doc = complex_doc(X, "xyz")
     assert not doc["is_simplicial"]
     back, _ = parse_complex(dumps(doc))
     assert {tuple(sorted(f.vertices)) for f in back.facets()} == \
@@ -162,7 +163,7 @@ def test_cli_residue_with_complex_file(tmp_path, capsys):
     M = five_gen_nongeneric()
     ideal_path = _write(tmp_path, "m.txt", ideal_text(M))
     X = polyhedral_from_incidence(M.gens, hull_specs())
-    cx_path = _write(tmp_path, "hull.json", dumps(complex_doc(X)))
+    cx_path = _write(tmp_path, "hull.json", dumps(complex_doc(X, "xyz")))
     assert main(["residue", ideal_path, "--complex", cx_path, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["duality"]["verdict"] == "exact"
@@ -218,9 +219,9 @@ def test_staircase_outputs():
     data = staircase_data(M)
     assert data["inner_corners"] == [(0, 3), (2, 2), (4, 0)]
     assert data["outer_corners"] == [(2, 3), (4, 2)]
-    grid = "\n".join(ascii_staircase(M).splitlines()[:-2])
+    grid = "\n".join(ascii_staircase(M, "xy").splitlines()[:-2])
     assert grid.count("G") == 3 and grid.count("O") == 2
-    svg = svg_staircase(M)
+    svg = svg_staircase(M, "xy")
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("circle") == 5
 
@@ -295,6 +296,22 @@ def test_cli_residue_refuses_over_candidate_cap_before_building(tmp_path, capsys
     path = _write(tmp_path, "m.txt", ideal_text(mk(7, *zip(*columns))))
     assert main(["residue", path]) == 4
     assert capsys.readouterr().err == "error: 2097152 candidate vectors exceeds the cap 1000000\n"
+    assert calls == []
+
+
+def test_cli_verify_refuses_over_candidate_cap_before_building(tmp_path, capsys, monkeypatch):
+    # g5: 2^20 brute-force candidates, which every check but the Taylor one compares against
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "build_complex")
+    path = _write(tmp_path, "g5.txt", ideal_text(g_class(5, 14, 80, 7)))
+    assert main(["verify", path]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    cap = "1048576 candidate vectors exceeds the cap 1000000"
+    names = ["brute-decomposition", "scarf-equals-brute", "minimal-equals-brute", "duality-exact"]
+    assert lines[:4] == [f"skip {name}: {cap}" for name in names]
+    assert lines[4:] == ["skip taylor-resolution: 19 generators exceeds the Taylor check's limit of 10",
+                         "no check ran: every check was skipped"]
     assert calls == []
 
 
@@ -413,10 +430,10 @@ def test_cli_derives_differentials_only_where_read(tmp_path, capsys, monkeypatch
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == []
-    # resolve reads each map twice: once in the chain check, once in its JSON
+    # resolve derives each map once, for the chain check and its JSON alike
     assert main(["resolve", path, "--complex", "scarf", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert sorted(k for _, k in calls) == sorted(2 * [1, 2, 3])
+    assert [k for _, k in calls] == [1, 2, 3]
     # a simplex of dimension k - 1 in grade k has k boundary faces
     sizes = [k * r for k, r in enumerate(doc["ranks"]) if k]
     assert [len(diff) for diff in doc["differentials"]] == sizes
@@ -503,7 +520,7 @@ def test_cli_scarf_star_builds_ghosted_complex_once(tmp_path, capsys, monkeypatc
         return wrapper
 
     ideals = [three_gen_nonartinian(), mk(3, (2, 1, 0), (0, 3, 1), (1, 0, 2))]
-    expected = [pairs_doc(scarf_pairs(M), None, M.nvars) for M in ideals]
+    expected = [pairs_doc(scarf_pairs(M), "xyz"[:M.nvars]) for M in ideals]
     for module in (cellres.cli, cellres.scarf):
         for name in ("star_ideal", "scarf_complex"):
             monkeypatch.setattr(module, name, counting(name, getattr(cellres.scarf, name)))
