@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _escape
 
 from cellres.complexes import LabeledComplex, polyhedral_from_incidence, simplicial_from_facets
 from cellres.errors import ParseError, PreconditionError
@@ -340,5 +341,69 @@ def pairs_doc(pairs, names) -> list:
     } for p in pairs]
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, written without the pure-Python encoder.
+
+    Takes dicts with str keys, lists, tuples (written as lists), str,
+    int, bool and None; any other type raises ``TypeError`` rather than
+    be guessed at.  Strings are ASCII-escaped by json's own escaper.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl, out):
+    """Append the text of value to out; nl is a newline and the current indent."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            head = sep + _escape(key) + ": "
+            sep = comma
+            item_kind = type(item)  # most values are scalars: write them without a call
+            if item_kind is str:
+                out.append(head + _escape(item))
+            elif item_kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write(item, inner, out)
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        for item in value:
+            if type(item) is not int:  # a bool is not an int here: it prints as true/false
+                break
+        else:
+            out.append("[" + inner + comma.join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            _write(item, inner, out)
+        out.append(nl + "]")
+    elif kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")

@@ -30,21 +30,33 @@ def _extent(data):
     return max(p[0] for p in pts) + 2, max(p[1] for p in pts) + 2
 
 
+def _column_floors(M: MonomialIdeal, width):
+    """For each column x < width, the least y with the monomial (x, y) in M, or None.
+
+    (x, y) is in M exactly when some generator g has g0 <= x and g1 <= y,
+    that is when y >= min{g1 : g0 <= x}.  A column that no generator
+    reaches has no floor; that happens only when M is not Artinian.
+    """
+    gens = [g.exps for g in M.gens]
+    return [min((g1 for g0, g1 in gens if g0 <= x), default=None) for x in range(width)]
+
+
 def ascii_staircase(M: MonomialIdeal, names) -> str:
     """Lattice picture; G = generator, O = component, # = monomial in M."""
     data = staircase_data(M)
     width, height = _extent(data)
     inner = set(data["inner_corners"])
     outer = set(data["outer_corners"])
+    floors = _column_floors(M, width)
     lines = []
     for y in range(height - 1, -1, -1):
         cells = []
-        for x in range(width):
+        for x, floor in enumerate(floors):
             if (x, y) in inner:
                 cells.append("G")
             elif (x, y) in outer:
                 cells.append("O")
-            elif Monomial((x, y)) in M:
+            elif floor is not None and y >= floor:
                 cells.append("#")
             else:
                 cells.append(".")
@@ -68,12 +80,13 @@ def svg_staircase(M: MonomialIdeal, names) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w_px}" height="{h_px}" '
            f'viewBox="0 0 {w_px} {h_px}">',
            f'<rect width="{w_px}" height="{h_px}" fill="white"/>']
-    for x in range(width):
-        for y in range(height):
-            if Monomial((x, y)) in M:
-                cx, cy = px(x, y + 1)
-                out.append(f'<rect x="{cx}" y="{cy}" width="{u}" height="{u}" '
-                           'fill="#d8d8d8" stroke="none"/>')
+    for x, floor in enumerate(_column_floors(M, width)):
+        if floor is None:
+            continue
+        for y in range(floor, height):
+            cx, cy = px(x, y + 1)
+            out.append(f'<rect x="{cx}" y="{cy}" width="{u}" height="{u}" '
+                       'fill="#d8d8d8" stroke="none"/>')
     for x in range(width + 1):
         x0, y0 = px(x, 0)
         _, y1 = px(x, height)

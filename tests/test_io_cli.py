@@ -1,7 +1,11 @@
 import json
 import random
+import re
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellres.cli import main
 from cellres.complexes import polyhedral_from_incidence, taylor_complex
@@ -16,7 +20,13 @@ from cellres.ioformats import (
     parse_ideal,
 )
 from cellres.monomial import Monomial
-from cellres.staircase import ascii_staircase, staircase_data, svg_staircase
+from cellres.staircase import (
+    SVG_MARGIN,
+    SVG_UNIT,
+    ascii_staircase,
+    staircase_data,
+    svg_staircase,
+)
 from conftest import (
     count_calls,
     five_gen_nongeneric,
@@ -238,6 +248,32 @@ def test_staircase_xy():
     data = staircase_data(M)
     assert data["inner_corners"] == [(0, 1), (1, 0)]
     assert data["outer_corners"] == [(1, 1)]
+
+
+def _staircase_membership_cells(M):
+    """(x, y) -> ASCII cell, and the set of cells the SVG shades."""
+    grid = ascii_staircase(M, "xy").splitlines()[:-2]
+    cells = {(x, int(line[:3])): c for line in grid for x, c in enumerate(line[4:].split(" "))}
+    height = len(grid)
+    u, mg = SVG_UNIT, SVG_MARGIN
+    h_px = 2 * mg + height * u
+    shaded = {((int(cx) - mg) // u, (h_px - mg - int(cy)) // u - 1) for cx, cy in re.findall(
+        r'<rect x="(\d+)" y="(\d+)" [^>]*fill="#d8d8d8"', svg_staircase(M, "xy"))}
+    return cells, shaded
+
+
+def test_staircase_shades_exactly_the_monomials_of_the_ideal():
+    rng = random.Random(812)
+    ideals = [mk(2, (0, 0)), mk(2, (1, 0)), mk(2, (0, 2)), mk(2, (3, 1), (1, 2)), mk(2, (2, 2))]
+    ideals += [random_ideal(rng, 2, rng.randint(1, 6), maxdeg=rng.randint(1, 7)) for _ in range(60)]
+    for M in ideals:
+        cells, shaded = _staircase_membership_cells(M)
+        members = {p for p in cells if Monomial(p) in M}
+        assert shaded == members, M
+        for p, c in cells.items():
+            assert c in "GO#.", (M, p)
+            if c != "O":  # an outer corner may lie in M and is marked O either way
+                assert (c in "G#") == (p in members), (M, p)
 
 
 def test_cli_staircase_formats(tmp_path, capsys):
@@ -582,3 +618,61 @@ def test_cli_cap_vertices_must_be_positive(tmp_path, capsys, cap):
         main(["scarf", path, "--cap-vertices", cap])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+# the writer emits what the result documents hold: containers of str, int, bool and None
+_JSON_TEXT = st.text() | st.sampled_from(
+    ['say "hi"', "back\\slash", "\x00\x07\x1f\n\t\x7f", "∂̄[1/x^2]∧∂̄[1/y]", "\u2028 \U0001f600"])
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64) | \
+    st.integers(max_value=-2 ** 64) | _JSON_TEXT
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=5),
+    max_leaves=40)
+
+
+@settings(max_examples=300)
+@given(_JSON_DOCS)
+def test_dumps_writes_the_bytes_of_json_dumps_indent_2(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value, name", [
+    (1.5, "float"), ({1, 2}, "set"), (b"xy", "bytes"), (Monomial((1, 0)), "Monomial"),
+    (_Level.ONE, "_Level"), ({1: "one"}, "int"),
+], ids=["float", "set", "bytes", "Monomial", "IntEnum", "int-key"])
+def test_dumps_refuses_what_it_cannot_write(value, name):
+    for doc in (value, [value], [1, value], {"value": value}, {"outer": {"inner": [[value]]}}):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            dumps(doc)
+
+
+_README_IDEAL = "vars: x,y,z\nideal: x^2, x*y, y^2, y*z, z^2\n"  # README's command-line example
+_README_PLANE_IDEAL = "vars: z1,z2\nideal: z1^4, z1^2*z2, z1*z2^2\n"  # its library example
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check"], _README_IDEAL),
+    (["scarf"], _README_IDEAL),
+    (["scarf", "--star"], _README_IDEAL),
+    (["taylor"], _README_IDEAL),
+    (["resolve", "--complex", "scarf"], _README_IDEAL),
+    (["resolve", "--complex", "taylor"], _README_IDEAL),
+    (["decompose"], _README_IDEAL),
+    (["decompose", "--method", "scarf"], _README_PLANE_IDEAL),
+    (["ass"], _README_IDEAL),
+    (["residue"], _README_IDEAL),
+    (["staircase"], _README_PLANE_IDEAL),
+    (["verify"], _README_IDEAL),
+], ids=["check", "scarf", "scarf-star", "taylor", "resolve-scarf", "resolve-taylor", "decompose",
+        "decompose-scarf", "ass", "residue", "staircase", "verify"])
+def test_cli_json_is_json_dumps_indent_2(tmp_path, capsys, argv, text):
+    path = _write(tmp_path, "m.txt", text)
+    assert main([argv[0], path, *argv[1:], "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -3,7 +3,10 @@
 Invariants raise ``VerificationError``: an ``assert`` statement vanishes
 under ``python -O``.  No module-level function is wrapped in
 ``functools.cache`` or ``lru_cache``, whose hidden state outlives every
-call and is shared by every caller in the process.
+call and is shared by every caller in the process.  Documents are written
+by ``ioformats.dumps`` alone: no module reaches ``json.dump``/``dumps``,
+whose indented output runs the pure-Python encoder (``json.loads`` is
+fine).
 """
 
 import ast
@@ -25,6 +28,19 @@ def _is_cache(decorator):
     return isinstance(decorator, ast.Name) and decorator.id in ("cache", "lru_cache")
 
 
+def _json_writers(tree):
+    """Lines that reach json.dump or json.dumps, by attribute or by import."""
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "json"}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+             and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    found += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "json"
+              and any(a.name in ("dump", "dumps") for a in node.names)]
+    return found
+
+
 def test_no_assert_statements():
     found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -38,6 +54,11 @@ def test_no_cached_module_level_functions():
     assert found == []
 
 
+def test_one_json_writer():
+    found = [f"{name}:{line}" for name, tree in _trees().items() for line in _json_writers(tree)]
+    assert found == []
+
+
 def test_rules_detect_their_targets():
     tree = ast.parse("import functools\n"
                      "@functools.cache\ndef a(): pass\n"
@@ -47,3 +68,7 @@ def test_rules_detect_their_targets():
               and any(_is_cache(d) for d in n.decorator_list)]
     assert cached == ["a", "b"]
     assert sum(isinstance(n, ast.Assert) for n in ast.walk(tree)) == 1
+    writers = ast.parse("import json\nimport json as j\nfrom json import loads, dumps\n"
+                        "json.loads('1')\nout = json.dumps({})\nj.dump({}, fh)\n"
+                        "dumps = ioformats.dumps\n")
+    assert sorted(_json_writers(writers)) == [3, 5, 6]
