@@ -28,13 +28,7 @@ from cellres.errors import (
     PreconditionError,
     VerificationError,
 )
-from cellres.ioformats import (
-    SCHEMA_VERSION,
-    dumps,
-    ideal_str,
-    irreducible_str,
-    monomial_str,
-)
+from cellres.ioformats import SCHEMA_VERSION, dumps, ideal_str, monomial_str
 from cellres.monomial import Monomial
 from cellres.residue import VERDICT_EXACT, duality_check
 from cellres.resolution import build_complex, differential, verify_chain
@@ -76,17 +70,20 @@ def _free_complex(src, M, cap):
     return build_complex(X, M, cap)
 
 
-def _faces_line(X, k):
-    return " ".join("{" + ",".join(map(str, sorted(f.vertices))) + "}" for f in X.grade(k))
+def _braced(items):
+    return "{" + ",".join(map(str, items)) + "}"
+
+
+def _faces_line(faces):
+    return " ".join(_braced(sorted(f.vertices)) for f in faces)
 
 
 def _complex_text(X, names, title):
     lines = [f"{title}: dim {X.dim}, {len(X.grade(1))} vertices, "
              f"{sum(len(X.grade(k)) for k in range(1, X.num_grades))} nonempty faces"]
     for k in range(1, X.num_grades):
-        lines.append(f"  dim {k - 1}: {_faces_line(X, k)}")
-    lines.append("facets: " + " ".join(
-        "{" + ",".join(map(str, sorted(f.vertices))) + "}" for f in X.facets()))
+        lines.append(f"  dim {k - 1}: {_faces_line(X.grade(k))}")
+    lines.append("facets: " + _faces_line(X.facets()))
     return lines
 
 
@@ -99,8 +96,8 @@ def _cmd_check(args):
         "strongly_generic": M.is_strongly_generic(),
     }
     text = "\n".join([
-        "variables: " + ", ".join(names),
-        "generators: " + ", ".join(monomial_str(g, names) for g in M.gens),
+        "variables: " + ", ".join(doc["ideal"]["vars"]),
+        "generators: " + ", ".join(doc["ideal"]["pretty"]),
         f"artinian: {_yn(doc['artinian'])}",
         f"generic: {_yn(doc['generic'])}",
         f"strongly generic: {_yn(doc['strongly_generic'])}",
@@ -114,21 +111,21 @@ def _yn(b):
 
 def _cmd_scarf(args):
     M, names = _load_ideal(args)
+    if args.ghost_exponent is not None and not args.star:
+        raise PreconditionError("--ghost-exponent needs --star")
     if args.star:
         gh = star_ideal(M, args.ghost_exponent)
         X = scarf_complex(gh.star, args.cap_vertices)
-        pairs = facet_pairs(gh, X)
         doc = {
             "complex": ioformats.complex_doc(X, names),
             "ghost_exponent": gh.ghost_exponent,
-            "pairs": ioformats.pairs_doc(pairs, names),
+            "pairs": ioformats.pairs_doc(facet_pairs(gh, X), names),
         }
         lines = _complex_text(X, names, f"ghosted scarf complex of {ideal_str(M, names)}")
         lines.append("pairs:")
-        for p in pairs:
-            kvars = "{" + ",".join(names[i] for i in sorted(p.K)) + "}"
-            tau = "{" + ",".join(map(str, sorted(p.tau))) + "}"
-            lines.append(f"  K={kvars} tau={tau} annihilator={irreducible_str(p.annihilator(), names)}")
+        for p in doc["pairs"]:
+            lines.append(f"  K={_braced(p['K_vars'])} tau={_braced(p['tau'])} "
+                         f"annihilator={p['annihilator_str']}")
         return doc, "\n".join(lines) + "\n"
     X = scarf_complex(M, args.cap_vertices)
     doc = {"complex": ioformats.complex_doc(X, names)}
@@ -172,8 +169,10 @@ def _cmd_resolve(args):
 
 def _cmd_decompose(args):
     M, names = _load_ideal(args)
+    if args.complex and args.method != "minimal":
+        raise PreconditionError("--complex needs --method minimal")
     if args.method == "scarf":
-        dec = decompose_scarf(M, args.ghost_exponent, args.cap_vertices)
+        dec = decompose_scarf(M, args.cap_vertices)
     elif args.method == "minimal":
         if not args.complex:
             raise PreconditionError("--method minimal needs --complex")
@@ -185,7 +184,7 @@ def _cmd_decompose(args):
     doc = ioformats.decomposition_doc(dec, names)
     text = "\n".join([
         f"method: {dec.method}",
-        "components: " + (", ".join(irreducible_str(c, names) for c in dec.components) or "(none)"),
+        "components: " + (", ".join(doc["pretty"]) or "(none)"),
         f"verified: {_yn(doc['verified'])}",
     ])
     return doc, text + "\n"
@@ -207,22 +206,20 @@ def _cmd_residue(args):
         src = "scarf" if M.is_generic() and not M.is_unit() else "taylor"
     _candidate_values(M)  # the current needs a brute-force decomposition: refuse before building F
     report = duality_check(_free_complex(src, M, args.cap_vertices), args.cap_vertices)
-    current = report.current
     doc = {
         "complex_source": src,
-        "current": ioformats.residue_doc(current, names),
+        "current": ioformats.residue_doc(report.current, names),
         "duality": ioformats.duality_doc(report, names),
     }
     lines = [f"complex: {src}"]
-    for e in current.entries:
-        kvars = "{" + ",".join(names[i] for i in sorted(e.K)) + "}"
-        tau = "{" + ",".join(map(str, sorted(e.tau))) + "}"
-        lines.append(f"entry K={kvars} tau={tau} {ioformats.dbar_factors_str(e, names)} "
-                     f"ann={irreducible_str(e.annihilator, names)} "
-                     f"status={e.status}" + (f" rule={e.rule}" if e.rule else ""))
-    lines.append(f"verdict: {report.verdict}")
-    lines.append(f"lower: {ideal_str(report.lower, names)}")
-    lines.append(f"upper: {ideal_str(report.upper, names)}")
+    for e in doc["current"]["entries"]:
+        lines.append(f"entry K={_braced(names[i] for i in e['K'])} tau={_braced(e['tau'])} "
+                     f"{e['factors']} ann={e['annihilator_str']} "
+                     f"status={e['status']}" + (f" rule={e['rule']}" if e["rule"] else ""))
+    duality = doc["duality"]
+    lines.append(f"verdict: {duality['verdict']}")
+    lines.append(f"lower: {duality['lower_str']}")
+    lines.append(f"upper: {duality['upper_str']}")
     return doc, "\n".join(lines) + "\n"
 
 
@@ -266,7 +263,7 @@ def _cmd_verify(args):
         # the candidate cap skips it before any Scarf work
         def check_scarf():
             reference = brute()
-            a = decompose_scarf(M, cap=args.cap_vertices)
+            a = decompose_scarf(M, args.cap_vertices)
             if set(a.components) != reference:
                 raise VerificationError("scarf and brute-force decompositions differ")
             return f"{len(a.components)} components agree"
@@ -326,32 +323,37 @@ def _parser():
                     "irreducible decompositions, and symbolic residue currents.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, formats=("text", "json")):
+    def common(name, summary, formats=("text", "json")):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("ideal", help="ideal file (text or JSON), or '-' for stdin")
         sp.add_argument("--format", choices=formats, default=formats[0])
+        return sp
+
+    def capped(name, summary):
+        # only the subcommands that build a complex or an lcm lattice take a cap
+        sp = common(name, summary)
         sp.add_argument("--cap-vertices", type=_positive_int, default=VERTEX_CAP, metavar="N",
                         help="refuse complexes and lcm lattices on more than N vertices")
         return sp
 
-    common(sub.add_parser("check", help="parse an ideal and report basic properties"))
-    sp = common(sub.add_parser("scarf", help="Scarf complex (optionally of the ghosted ideal)"))
+    common("check", "parse an ideal and report basic properties")
+    sp = capped("scarf", "Scarf complex (optionally of the ghosted ideal)")
     sp.add_argument("--star", action="store_true", help="ghost the ideal and report (K, tau) pairs")
-    sp.add_argument("--ghost-exponent", type=int, default=None, metavar="D")
-    common(sub.add_parser("taylor", help="full-simplex complex on the generators"))
-    sp = common(sub.add_parser("resolve", help="build the free complex and test exactness/minimality"))
+    sp.add_argument("--ghost-exponent", type=int, default=None, metavar="D",
+                    help="ghost exponent for --star; default: 1 + the largest exponent")
+    capped("taylor", "full-simplex complex on the generators")
+    sp = capped("resolve", "build the free complex and test exactness/minimality")
     sp.add_argument("--complex", required=True, metavar="SRC",
                     help="'scarf', 'taylor', or a complex JSON file")
-    sp = common(sub.add_parser("decompose", help="irredundant irreducible decomposition"))
+    sp = capped("decompose", "irredundant irreducible decomposition")
     sp.add_argument("--method", choices=("scarf", "minimal", "brute"), default="brute")
     sp.add_argument("--complex", metavar="SRC", help="required for --method minimal")
-    sp.add_argument("--ghost-exponent", type=int, default=None, metavar="D")
-    common(sub.add_parser("ass", help="associated primes"))
-    sp = common(sub.add_parser("residue", help="symbolic residue current with classification"))
+    common("ass", "associated primes")
+    sp = capped("residue", "symbolic residue current with classification")
     sp.add_argument("--complex", metavar="SRC", default=None,
                     help="'scarf', 'taylor', or a file; default: scarf if generic, else taylor")
-    common(sub.add_parser("staircase", help="staircase diagram (2 variables)"),
-           formats=("text", "svg", "json"))
-    common(sub.add_parser("verify", help="cross-check decompositions and resolutions"))
+    common("staircase", "staircase diagram (2 variables)", formats=("text", "svg", "json"))
+    capped("verify", "cross-check decompositions and resolutions")
     return p
 
 

@@ -79,12 +79,11 @@ class Decomposition:
             raise VerificationError(f"{self.method}: decomposition is redundant")
 
 
-def decompose_scarf(M: MonomialIdeal, D: int | None = None,
-                    cap: int = VERTEX_CAP) -> Decomposition:
+def decompose_scarf(M: MonomialIdeal, cap: int = VERTEX_CAP) -> Decomposition:
     """Components from the ghosted Scarf facets; generic ideals only."""
     if not M.is_generic():
         raise NotGenericError("Scarf decomposition requires a generic ideal")
-    components = tuple(sorted(p.annihilator() for p in scarf_pairs(M, D, cap)))
+    components = tuple(sorted(p.annihilator() for p in scarf_pairs(M, cap=cap)))
     if len(set(components)) != len(components):
         raise VerificationError("scarf: repeated component")
     dec = Decomposition(M, components, METHOD_SCARF)

@@ -215,10 +215,11 @@ class MonomialIdeal:
         return acc
 
     def is_artinian(self) -> bool:
-        """True iff some generator is a pure power of each variable."""
+        """True iff the ideal contains a power of each variable: it is the
+        unit ideal, or some generator is a pure power of each variable."""
         self.require_nonzero()
         pure = {g.support[0] for g in self.gens if len(g.support) == 1}
-        return all(i in pure for i in range(self.nvars))
+        return self.is_unit() or all(i in pure for i in range(self.nvars))
 
     def is_generic(self) -> bool:
         """Whenever two generators share a positive degree in some variable,

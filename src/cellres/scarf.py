@@ -10,7 +10,7 @@ the original ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import le
 
 from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_facets
@@ -79,16 +79,14 @@ def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
 class GhostedIdeal:
     """An ideal together with its Artinianization by ghost generators.
 
-    ``star`` is base + (z_1^D, ..., z_n^D), minimalized; ghosts dominated
-    by a pure-power generator of the base are dropped.  Position maps
-    relate the base's generator order to the star's.
+    ``star`` is base + (z_1^D, ..., z_n^D), minimalized: a ghost that a
+    pure power of the base divides is dropped, and no base generator is,
+    since D exceeds all their degrees.
     """
 
     base: MonomialIdeal
     ghost_exponent: int
     star: MonomialIdeal
-    ghost_positions: dict = field(compare=False)
-    base_positions: dict = field(compare=False)
 
 
 def star_ideal(M: MonomialIdeal, D: int | None = None) -> GhostedIdeal:
@@ -103,22 +101,8 @@ def star_ideal(M: MonomialIdeal, D: int | None = None) -> GhostedIdeal:
         D = top + 1
     elif D <= top:
         raise PreconditionError(f"ghost exponent {D} must exceed every generator degree ({top})")
-
-    gens = list(M.gens)
-    ghost_of = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = D
-        ghost = Monomial(e)
-        if not any(g.divides(ghost) for g in M.gens):
-            gens.append(ghost)
-            ghost_of[i] = ghost
-    star = MonomialIdeal(n, gens)
-
-    pos = {g.exps: p for p, g in enumerate(star.gens)}
-    ghost_positions = {i: pos[g.exps] for i, g in ghost_of.items()}
-    base_positions = {b: pos[g.exps] for b, g in enumerate(M.gens)}
-    return GhostedIdeal(M, D, star, ghost_positions, base_positions)
+    ghosts = [(0,) * i + (D,) + (0,) * (n - i - 1) for i in range(n)]
+    return GhostedIdeal(M, D, MonomialIdeal.from_generators(n, [*M.gens, *ghosts]))
 
 
 @dataclass(frozen=True)
@@ -152,18 +136,23 @@ def scarf_pairs(M: MonomialIdeal, D: int | None = None, cap: int = VERTEX_CAP):
 
 
 def facet_pairs(gh: GhostedIdeal, delta: LabeledComplex):
-    """(K, tau) pairs for the facets of delta, the Scarf complex of gh.star."""
-    ghost_var = {p: i for i, p in gh.ghost_positions.items()}
-    base_idx = {p: b for b, p in gh.base_positions.items()}
+    """(K, tau) pairs for the facets of delta, the Scarf complex of gh.star;
+    each vertex is a base generator or a ghost, a pure D-th power."""
+    base_idx = {g.exps: b for b, g in enumerate(gh.base.gens)}
+    D = gh.ghost_exponent
 
     pairs = []
     for facet in delta.facets():
-        verts = facet.vertices
-        K = frozenset(i for i in range(gh.base.nvars) if gh.ghost_positions.get(i) not in verts)
-        tau = frozenset(base_idx[p] for p in verts if p in base_idx)
-        if not all(p in base_idx or p in ghost_var for p in verts):
-            raise VerificationError(f"facet {sorted(verts)} has a vertex that is neither "
-                                    "a base generator nor a ghost")
-        pairs.append(ScarfPair(K, tau, facet.label))
+        K, tau = set(range(gh.base.nvars)), set()
+        for p in facet.vertices:
+            e = delta.labels[p].exps
+            if e in base_idx:
+                tau.add(base_idx[e])
+            elif sum(e) == D and D in e:
+                K.discard(e.index(D))
+            else:
+                raise VerificationError(f"facet {sorted(facet.vertices)} has a vertex that is "
+                                        "neither a base generator nor a ghost")
+        pairs.append(ScarfPair(frozenset(K), frozenset(tau), facet.label))
     pairs.sort(key=lambda p: (sorted(p.K), sorted(p.tau)))
     return tuple(pairs)

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import random
 import re
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellres.cli import main
+from cellres.cli import _HANDLERS, _parser, main
 from cellres.complexes import polyhedral_from_incidence, taylor_complex
 from cellres.errors import ParseError
 from cellres.ioformats import (
@@ -351,15 +353,20 @@ def test_cli_verify_refuses_over_candidate_cap_before_building(tmp_path, capsys,
     assert calls == []
 
 
-@pytest.mark.parametrize("source", [
+# the unit ideal in no variables and in two
+_UNIT_SOURCES = pytest.mark.parametrize("source", [
     json.dumps({"nvars": 0, "generators": [[]]}),
     "vars: x,y\nideal: 1\n",
 ], ids=["no-variables", "unit-text"])
+
+
+@_UNIT_SOURCES
 @pytest.mark.parametrize("argv, code", [
     (["scarf", "--star"], 3),
     (["decompose", "--method", "scarf"], 3),
     (["verify", "--format", "json"], 0),
-], ids=["scarf-star", "decompose-scarf", "verify"])
+    (["check", "--format", "json"], 0),
+], ids=["scarf-star", "decompose-scarf", "verify", "check"])
 def test_cli_unit_ideal_has_no_scarf_route(tmp_path, capsys, source, argv, code):
     path = _write(tmp_path, "unit.txt", source)
     assert main([argv[0], path, *argv[1:]]) == code
@@ -367,6 +374,10 @@ def test_cli_unit_ideal_has_no_scarf_route(tmp_path, capsys, source, argv, code)
     assert "Traceback" not in err
     if code:
         assert err == "error: the unit ideal cannot be ghosted\n"
+    elif argv[0] == "check":
+        # it contains every power of every variable
+        doc = json.loads(out)
+        assert (doc["artinian"], doc["generic"]) == (True, True)
     else:
         # generic, yet it has no Scarf complex, so the Scarf checks are omitted
         doc = json.loads(out)
@@ -374,10 +385,7 @@ def test_cli_unit_ideal_has_no_scarf_route(tmp_path, capsys, source, argv, code)
         assert [c["name"] for c in doc["checks"]] == ["brute-decomposition", "taylor-resolution"]
 
 
-@pytest.mark.parametrize("source", [
-    json.dumps({"nvars": 0, "generators": [[]]}),
-    "vars: x,y\nideal: 1\n",
-], ids=["no-variables", "unit-text"])
+@_UNIT_SOURCES
 @pytest.mark.parametrize("extra", [[], ["--complex", "taylor"]], ids=["default", "taylor"])
 def test_cli_residue_of_the_unit_ideal_is_empty(tmp_path, capsys, source, extra):
     # generic, yet it has no Scarf complex: the Taylor complex carries an empty current
@@ -387,6 +395,14 @@ def test_cli_residue_of_the_unit_ideal_is_empty(tmp_path, capsys, source, extra)
     assert doc["complex_source"] == "taylor"
     assert doc["current"]["entries"] == []
     assert doc["duality"]["verdict"] == "exact"
+
+
+@_UNIT_SOURCES
+def test_cli_decompose_minimal_refuses_the_unit_ideal_as_not_minimal(tmp_path, capsys, source):
+    # Artinian in any number of variables, but its Taylor complex maps a unit onto a unit
+    path = _write(tmp_path, "unit.txt", source)
+    assert main(["decompose", path, "--method", "minimal", "--complex", "taylor"]) == 3
+    assert capsys.readouterr().err == "error: the resolution is not minimal\n"
 
 
 def test_cli_decompose_minimal_refuses_non_artinian_before_building(tmp_path, capsys,
@@ -609,6 +625,43 @@ def test_cli_invalid_complex_stays_a_precondition_error(tmp_path, capsys):
     ideal = _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, y^2\n")
     assert main(["resolve", ideal, "--complex", bad]) == 3
     assert capsys.readouterr().err == "error: vertex index 5 out of range\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scarf", "--ghost-exponent", "7"], "--ghost-exponent needs --star"),
+    (["decompose", "--complex", "scarf"], "--complex needs --method minimal"),
+    (["decompose", "--method", "scarf", "--complex", "taylor"], "--complex needs --method minimal"),
+], ids=["ghost-exponent-without-star", "complex-with-brute", "complex-with-scarf"])
+def test_cli_refuses_a_flag_it_would_ignore(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "m.txt", ideal_text(three_gen_nonartinian()))
+    assert main([argv[0], path, *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--ghost-exponent", "7"],
+    ["check", "--cap-vertices", "3"],
+    ["ass", "--cap-vertices", "3"],
+    ["staircase", "--cap-vertices", "3"],
+], ids=["decompose-ghost-exponent", "check-cap", "ass-cap", "staircase-cap"])
+def test_cli_options_that_change_nothing_are_not_accepted(tmp_path, capsys, argv):
+    path = _write(tmp_path, "m.txt", ideal_text(three_gen_nonartinian()))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_option_is_read_by_its_handler():
+    # an option no handler reads cannot change the output, so it is not offered
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(_HANDLERS)
+    unread = [f"{name} --{action.dest}" for name, sp in subparsers.choices.items()
+              for action in sp._actions if action.dest not in ("help", "ideal", "format")
+              and f"args.{action.dest}" not in inspect.getsource(_HANDLERS[name])]
+    assert unread == []
 
 
 @pytest.mark.parametrize("cap", ["-1", "0", "two"])

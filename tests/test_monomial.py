@@ -11,6 +11,7 @@ from cellres.monomial import (
     MonomialIdeal,
     lcm,
     lcm_many,
+    unit_ideal,
 )
 from conftest import five_gen_nongeneric, ideals_equal_on_box, mk, random_ideal, three_gen_nonartinian
 
@@ -145,6 +146,8 @@ def test_is_artinian():
     assert mk(2, (2, 0), (1, 1), (0, 2)).is_artinian()
     assert not three_gen_nonartinian().is_artinian()
     assert mk(1, (1,)).is_artinian()
+    # the unit ideal contains every power of every variable
+    assert unit_ideal(3).is_artinian()
 
 
 def test_is_generic():

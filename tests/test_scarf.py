@@ -5,7 +5,7 @@ import pytest
 
 from cellres.errors import CapExceededError, PreconditionError, VerificationError
 from cellres.monomial import Monomial, MonomialIdeal
-from cellres.scarf import scarf_complex, scarf_pairs, star_ideal
+from cellres.scarf import GhostedIdeal, scarf_complex, scarf_pairs, star_ideal
 from conftest import (
     five_gen_nongeneric,
     mk,
@@ -121,19 +121,17 @@ def test_star_ideal_drops_dominated_ghosts():
     M = three_gen_nonartinian()
     gh = star_ideal(M, 5)
     assert gh.ghost_exponent == 5
+    # z1^5 is dominated by z1^4: only the z2 ghost joins the base generators
+    base = {g.exps for g in M.gens}
+    star = {g.exps for g in gh.star.gens}
+    assert star - base == {(0, 5)} and base <= star
     assert [g.exps for g in gh.star.gens] == [(0, 5), (1, 2), (2, 1), (4, 0)]
-    # z1^5 is dominated by z1^4; only the z2 ghost is kept
-    assert set(gh.ghost_positions) == {1}
-    assert gh.star.gens[gh.ghost_positions[1]].exps == (0, 5)
-    assert {b: gh.star.gens[p].exps for b, p in gh.base_positions.items()} == {
-        0: (1, 2), 1: (2, 1), 2: (4, 0)}
 
 
 def test_star_ideal_artinian_unchanged():
     M = xy_square()
     gh = star_ideal(M)
     assert gh.star == M
-    assert gh.ghost_positions == {}
 
 
 def test_star_ideal_single_variable():
@@ -208,19 +206,13 @@ def test_staircase_scarf_is_path():
 
 
 def test_scarf_pairs_unknown_vertex_raises(monkeypatch):
-    import dataclasses
-
     import cellres.scarf
 
-    real = cellres.scarf.star_ideal
+    def wrong_ghost(M, D=None):
+        # z2^6 with D = 5: a pure power, but not of the ghost exponent
+        return GhostedIdeal(M, 5, mk(2, *(g.exps for g in M.gens), (0, 6)))
 
-    def lose_a_base_position(M, D=None):
-        gh = real(M, D)
-        positions = dict(gh.base_positions)
-        positions.pop(0)
-        return dataclasses.replace(gh, base_positions=positions)
-
-    monkeypatch.setattr(cellres.scarf, "star_ideal", lose_a_base_position)
+    monkeypatch.setattr(cellres.scarf, "star_ideal", wrong_ghost)
     with pytest.raises(VerificationError, match="neither a base generator nor a ghost"):
         scarf_pairs(three_gen_nonartinian())
 
