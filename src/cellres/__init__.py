@@ -32,7 +32,6 @@ from cellres.monomial import (
     Monomial,
     MonomialIdeal,
     lcm,
-    lcm_many,
     unit_ideal,
 )
 from cellres.residue import (
@@ -78,7 +77,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "lcm",
-    "lcm_many",
     "unit_ideal",
     "DualityReport",
     "ResidueCurrent",

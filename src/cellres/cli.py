@@ -20,6 +20,7 @@ from cellres.decompose import (
     decompose_brute,
     decompose_minimal,
     decompose_scarf,
+    prime_key,
 )
 from cellres.errors import (
     CapExceededError,
@@ -29,7 +30,6 @@ from cellres.errors import (
     VerificationError,
 )
 from cellres.ioformats import SCHEMA_VERSION, dumps, ideal_str, monomial_str
-from cellres.monomial import Monomial
 from cellres.residue import VERDICT_EXACT, duality_check
 from cellres.resolution import build_complex, differential, verify_chain
 from cellres.scarf import facet_pairs, scarf_complex, star_ideal
@@ -192,7 +192,7 @@ def _cmd_decompose(args):
 
 def _cmd_ass(args):
     M, names = _load_ideal(args)
-    primes = sorted(associated_primes(M), key=lambda s: (len(s), sorted(s)))
+    primes = sorted(associated_primes(M), key=prime_key)
     doc = {"associated_primes": [sorted(K) for K in primes]}
     pretty = ["(" + ", ".join(names[i] for i in sorted(K)) + ")" for K in primes]
     doc["pretty"] = pretty
@@ -229,8 +229,8 @@ def _cmd_staircase(args):
         return None, svg_staircase(M, names)
     if args.format == "json":
         data = staircase_data(M)
-        data["pretty_inner"] = [monomial_str(Monomial(p), names) for p in data["inner_corners"]]
-        data["pretty_outer"] = [monomial_str(Monomial(p), names) for p in data["outer_corners"]]
+        data["pretty_inner"] = [monomial_str(p, names) for p in data["inner_corners"]]
+        data["pretty_outer"] = [monomial_str(p, names) for p in data["outer_corners"]]
         return data, None
     return None, ascii_staircase(M, names)
 

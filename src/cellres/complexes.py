@@ -1,11 +1,12 @@
 """Labeled cell complexes and their reduced rational homology.
 
-A complex carries one monomial label per vertex; every face is labeled
-by the lcm of its vertex labels.  Faces are graded so that grade k holds
-the faces of dimension k-1 (grade 0 is the empty face alone, grade 1 the
-vertices).  A complex is its tuple of faces in canonical (dim, sorted
-vertices) order, ids 0, 1, ...: each grade is one range of ids, and
-facets are found when asked for.  Complexes are immutable once built.
+A complex carries one monomial label per vertex, held as its exponent
+tuple; every face is labeled by the lcm of its vertex labels.  Faces are
+graded so that grade k holds the faces of dimension k-1 (grade 0 is the
+empty face alone, grade 1 the vertices).  A complex is its tuple of
+faces in canonical (dim, sorted vertices) order, ids 0, 1, ...: each
+grade is one range of ids, and facets are found when asked for.
+Complexes are immutable once built.
 
 Simplicial complexes (Taylor, Scarf, JSON facets) are correct by
 construction, with orientation from the vertex order; only their input
@@ -38,7 +39,7 @@ from cellres.errors import (
     InvalidComplexError,
     VerificationError,
 )
-from cellres.monomial import Monomial, MonomialIdeal, lcm_many
+from cellres.monomial import Monomial, MonomialIdeal
 from cellres.rank import matrix_rank
 
 # Taylor complexes and lcm lattices enumerate vertex subsets; they and
@@ -49,19 +50,21 @@ VERTEX_CAP = 20
 class Face:
     """One cell: canonical id, vertex set, dimension, signed boundary, label.
 
-    The empty face has dimension -1 and label 1.  ``boundary`` lists
-    (face id, sign) pairs one dimension down.
+    ``label`` is the exponent tuple of the lcm of the vertex labels; the
+    empty face has dimension -1 and label 1, the zero tuple.
+    ``boundary`` lists (face id, sign) pairs one dimension down.
     """
 
     id: int
     vertices: frozenset
     dim: int
     boundary: tuple
-    label: Monomial
+    label: tuple
 
 
 class LabeledComplex:
-    """A polyhedral cell complex with monomial vertex labels."""
+    """A polyhedral cell complex with monomial vertex labels, held as
+    exponent tuples."""
 
     __slots__ = ("labels", "faces", "_starts")
 
@@ -74,7 +77,7 @@ class LabeledComplex:
 
     @property
     def nvars(self) -> int:
-        return self.labels[0].nvars if self.labels else 0
+        return len(self.labels[0]) if self.labels else 0
 
     @property
     def dim(self) -> int:
@@ -105,8 +108,10 @@ class LabeledComplex:
 
 
 def _labels(labels) -> tuple:
-    labels = tuple(m if isinstance(m, Monomial) else Monomial(m) for m in labels)
-    if any(m.nvars != labels[0].nvars for m in labels):
+    """Caller-supplied vertex labels, each a Monomial or an exponent
+    sequence, checked once as a Monomial and kept as exponent tuples."""
+    labels = tuple((m if isinstance(m, Monomial) else Monomial(m)).exps for m in labels)
+    if any(len(m) != len(labels[0]) for m in labels):
         raise DimensionMismatch("vertex labels have mixed variable counts")
     return labels
 
@@ -130,9 +135,8 @@ def simplicial_from_facets(labels, facets) -> LabeledComplex:
         raise InvalidComplexError("no facets given")
     labels = _labels(labels)
 
-    empty = (0,) * labels[0].nvars if labels else ()
-    built = {(): (0, empty)}  # vertex tuple -> (face id, label exponents)
-    faces = [Face(0, frozenset(), -1, (), Monomial(empty))]
+    built = {(): 0}  # vertex tuple -> face id
+    faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
     for t in sorted(closure, key=lambda t: (len(t), t)):
         if len(t) == 1:
             if not 0 <= t[0] < len(labels):
@@ -140,11 +144,11 @@ def simplicial_from_facets(labels, facets) -> LabeledComplex:
             label = labels[t[0]]
             boundary = ((0, 1),)
         else:
-            label = Monomial(map(max, built[t[:-1]][1], labels[t[-1]].exps))
+            label = tuple(map(max, faces[built[t[:-1]]].label, labels[t[-1]]))
             # dropping a later vertex gives an earlier face, so descending j sorts the ids
-            boundary = tuple((built[t[:j] + t[j + 1:]][0], -1 if j & 1 else 1)
+            boundary = tuple((built[t[:j] + t[j + 1:]], -1 if j & 1 else 1)
                              for j in reversed(range(len(t))))
-        built[t] = (len(faces), label.exps)
+        built[t] = len(faces)
         faces.append(Face(len(faces), frozenset(t), len(t) - 1, boundary, label))
     return LabeledComplex(labels, tuple(faces))
 
@@ -198,15 +202,15 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
             raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
         vertices[key] = frozenset(sub_verts)
 
-    nvars = labels[0].nvars if labels else 0
     order = sorted(specs, key=lambda k: (specs[k][0], sorted(vertices[k]), str(k)))
     ids = {key: i for i, key in enumerate(order, 1)}  # id 0 is the empty face
-    faces = [Face(0, frozenset(), -1, (), lcm_many((), nvars))]
+    faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
     for key in order:
         dim, part = specs[key]
         boundary = ((0, 1),) if dim == 0 else tuple(sorted((ids[b], s) for b, s in part))
-        faces.append(Face(ids[key], vertices[key], dim, boundary,
-                          lcm_many((labels[v] for v in vertices[key]), nvars)))
+        # one max per variable over the face's vertex labels, also for a single vertex
+        label = tuple(map(max, zip(*(labels[v] for v in vertices[key]))))
+        faces.append(Face(ids[key], vertices[key], dim, boundary, label))
     # two boundary steps must cancel, down to the empty face; reported in input order
     for key in specs:
         acc = {}
@@ -248,7 +252,7 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
     if X.labels and beta.nvars != X.nvars:
         raise DimensionMismatch(f"{beta.nvars} variables vs {X.nvars}")
     b = beta.exps
-    allowed = {v for v, m in enumerate(X.labels) if all(map(le, m.exps, b))}
+    allowed = {v for v, m in enumerate(X.labels) if all(map(le, m, b))}
     ids = {}
     faces = []
     for f in X.faces:
@@ -293,7 +297,7 @@ class FaceIndex:
         self._all = (1 << n) - 1
         self._tables = []
         for v in range(X.nvars):
-            col = [f.label.exps[v] for f in faces]
+            col = [f.label[v] for f in faces]
             bits = bytearray(b"0" * n)  # a binary numeral: face i is character n-1-i
             values, masks = [], []
             for x, group in groupby(sorted(range(n), key=col.__getitem__), col.__getitem__):
@@ -391,6 +395,6 @@ def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
         raise CapExceededError(f"{len(verts)} vertices exceeds the cap {cap}")
     found = {(0,) * X.nvars}
     for v in verts:
-        g = X.labels[v].exps
+        g = X.labels[v]
         found |= {tuple(map(max, x, g)) for x in found}
     return tuple(sorted(found))

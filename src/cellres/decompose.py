@@ -171,6 +171,12 @@ def associated_primes(M: MonomialIdeal):
     return {frozenset(c.support) for c in decompose_brute(M).components}
 
 
+def prime_key(K):
+    """The canonical order of associated primes: by size, then by sorted
+    variable indices."""
+    return len(K), sorted(K)
+
+
 def primary_grouping(dec: Decomposition):
     """Intersect components sharing a support; keyed by that support.
 
@@ -180,7 +186,7 @@ def primary_grouping(dec: Decomposition):
     for c in dec.components:
         groups.setdefault(frozenset(c.support), []).append(c)
     out = {}
-    for K in sorted(groups, key=lambda s: (len(s), sorted(s))):
+    for K in sorted(groups, key=prime_key):
         acc = unit_ideal(dec.ideal.nvars)
         for c in groups[K]:
             acc = acc.intersect(c.as_ideal())

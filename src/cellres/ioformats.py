@@ -35,9 +35,10 @@ def default_var_names(n: int):
     return tuple(f"z{i + 1}" for i in range(n))
 
 
-def monomial_str(m: Monomial, names) -> str:
+def monomial_str(exps, names) -> str:
+    """The monomial with exponent tuple ``exps``, as in ``x^2*y``."""
     parts = []
-    for i, e in enumerate(m.exps):
+    for i, e in enumerate(exps):
         if e == 1:
             parts.append(names[i])
         elif e > 1:
@@ -46,14 +47,14 @@ def monomial_str(m: Monomial, names) -> str:
 
 
 def ideal_str(M: MonomialIdeal, names) -> str:
-    return "(" + ", ".join(monomial_str(g, names) for g in M.gens) + ")"
+    return "(" + ", ".join(monomial_str(g.exps, names) for g in M.gens) + ")"
 
 
 def ideal_text(M: MonomialIdeal, names=None) -> str:
     """The parseable two-line text form of an ideal."""
     names = names or default_var_names(M.nvars)
     return (f"vars: {','.join(names)}\n"
-            f"ideal: {', '.join(monomial_str(g, names) for g in M.gens)}\n")
+            f"ideal: {', '.join(monomial_str(g.exps, names) for g in M.gens)}\n")
 
 
 def irreducible_str(irr: IrreducibleIdeal, names) -> str:
@@ -213,7 +214,7 @@ def _finish_ideal(nvars, gens, names):
     warnings = []
     M = MonomialIdeal.from_generators(nvars, gens)
     if set(M.gens) != set(gens):
-        kept = ", ".join(monomial_str(g, names) for g in M.gens)
+        kept = ", ".join(monomial_str(g.exps, names) for g in M.gens)
         warnings.append(f"generators were not minimal; reduced to {kept}")
     return M, names, warnings
 
@@ -247,7 +248,7 @@ def ideal_doc(M: MonomialIdeal, names) -> dict:
         "nvars": M.nvars,
         "vars": list(names),
         "generators": [list(g.exps) for g in M.gens],
-        "pretty": [monomial_str(g, names) for g in M.gens],
+        "pretty": [monomial_str(g.exps, names) for g in M.gens],
     }
 
 
@@ -261,7 +262,7 @@ def complex_doc(X: LabeledComplex, names) -> dict:
             "id": f.id,
             "dim": f.dim,
             "vertices": sorted(f.vertices),
-            "label": list(f.label.exps),
+            "label": list(f.label),
             "label_str": monomial_str(f.label, names),
         }
         if f.dim == 0:
@@ -270,7 +271,7 @@ def complex_doc(X: LabeledComplex, names) -> dict:
             entry["boundary"] = [[sid, sign] for sid, sign in f.boundary]
         faces.append(entry)
     return {
-        "labels": [list(m.exps) for m in X.labels],
+        "labels": [list(m) for m in X.labels],
         "vars": list(names),
         "dim": X.dim,
         "is_simplicial": simplicial,
@@ -292,7 +293,7 @@ def decomposition_doc(dec, names) -> dict:
 def dbar_factors_str(entry, names) -> str:
     parts = []
     for i in sorted(entry.K):
-        e = entry.alpha.exps[i]
+        e = entry.alpha[i]
         power = names[i] if e == 1 else f"{names[i]}^{e}"
         parts.append(f"∂̄[1/{power}]")
     return "∧".join(parts)
@@ -303,7 +304,7 @@ def residue_entry_doc(entry, names) -> dict:
         "K": sorted(entry.K),
         "tau": sorted(entry.tau),
         "face": entry.face_id,
-        "alpha": list(entry.alpha.exps),
+        "alpha": list(entry.alpha),
         "annihilator": list(entry.annihilator.exponent.exps),
         "annihilator_str": irreducible_str(entry.annihilator, names),
         "factors": dbar_factors_str(entry, names),
@@ -335,7 +336,7 @@ def pairs_doc(pairs, names) -> list:
         "K": sorted(p.K),
         "K_vars": [names[i] for i in sorted(p.K)],
         "tau": sorted(p.tau),
-        "label": list(p.label.exps),
+        "label": list(p.label),
         "annihilator": list(p.annihilator().exponent.exps),
         "annihilator_str": irreducible_str(p.annihilator(), names),
     } for p in pairs]

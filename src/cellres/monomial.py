@@ -75,13 +75,6 @@ class Monomial:
     def __hash__(self):
         return hash(self.exps)
 
-    def __lt__(self, other):
-        # lexicographic on exponent vectors; the canonical order everywhere
-        return self.exps < other.exps
-
-    def __le__(self, other):
-        return self.exps <= other.exps
-
     def __repr__(self):
         return f"Monomial({self.exps})"
 
@@ -95,16 +88,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise maximum of the exponent vectors."""
     _check_dims(a, b)
     return Monomial(max(x, y) for x, y in zip(a.exps, b.exps))
-
-
-def lcm_many(monomials, nvars: int) -> Monomial:
-    """lcm of an iterable of monomials; the empty lcm is 1."""
-    acc = (0,) * nvars
-    for m in monomials:
-        if len(m.exps) != nvars:
-            raise DimensionMismatch(f"{len(m.exps)} variables vs {nvars}")
-        acc = tuple(max(x, y) for x, y in zip(acc, m.exps))
-    return Monomial(acc)
 
 
 def _monomial(exps) -> Monomial:

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from cellres.complexes import VERTEX_CAP
-from cellres.decompose import decompose_brute
+from cellres.decompose import decompose_brute, prime_key
 from cellres.errors import NotResolutionError
-from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, unit_ideal
+from cellres.monomial import IrreducibleIdeal, MonomialIdeal, unit_ideal
 from cellres.resolution import FreeComplex
 from cellres.scarf import scarf_pairs
 
@@ -56,23 +56,23 @@ RULE_UNIQUE_CARRIER = "unique-carrier"
 class ResidueEntry:
     """One symbolic entry of the current.
 
-    ``alpha`` is the full face label; the annihilator restricts it to K
-    and zeroes the rest.  ``has_smooth_factor`` records the extra smooth
-    factor present whenever K is a proper subset of the variables (it
-    never affects the annihilator).
+    ``alpha`` is the full face label, an exponent tuple; the annihilator
+    restricts it to K and zeroes the rest.  ``has_smooth_factor`` records
+    the extra smooth factor present whenever K is a proper subset of the
+    variables (it never affects the annihilator).
     """
 
     K: frozenset
     face_id: int
     tau: frozenset
-    alpha: Monomial
+    alpha: tuple
     annihilator: IrreducibleIdeal
     status: str = UNKNOWN
     rule: str | None = None
 
     @property
     def has_smooth_factor(self) -> bool:
-        return len(self.K) != self.alpha.nvars
+        return len(self.K) != len(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -93,28 +93,30 @@ class ResidueCurrent:
         groups = {}
         for e in self.entries:
             groups.setdefault(e.K, []).append(e)
-        return {K: tuple(groups[K])
-                for K in sorted(groups, key=lambda s: (len(s), sorted(s)))}
+        return {K: tuple(groups[K]) for K in sorted(groups, key=prime_key)}
 
     def with_status(self, *statuses):
         return tuple(e for e in self.entries if e.status in statuses)
 
 
 def residue_current(F: FreeComplex) -> ResidueCurrent:
-    """Build the (unclassified) current of an ideal over its resolution F."""
+    """Build the (unclassified) current of an ideal over its resolution F.
+
+    Primes are taken in canonical order and each grade's faces by id, so
+    the entries come out in (prime, face id) order.
+    """
     if not F.exact:
         raise NotResolutionError("the complex does not support a resolution")
     components = decompose_brute(F.ideal).components
-    primes = sorted({frozenset(c.support) for c in components},
-                    key=lambda s: (len(s), sorted(s)))
+    primes = sorted({frozenset(c.support) for c in components}, key=prime_key)
     entries = []
     for K in primes:
         ell = len(K)
         for face in F.complex.grade(ell):
             alpha = face.label
-            if any(alpha.exps[i] == 0 for i in K):
+            if any(alpha[i] == 0 for i in K):
                 continue
-            b = tuple(e if i in K else 0 for i, e in enumerate(alpha.exps))
+            b = tuple(e if i in K else 0 for i, e in enumerate(alpha))
             entries.append(ResidueEntry(
                 K=K,
                 face_id=face.id,
@@ -122,7 +124,6 @@ def residue_current(F: FreeComplex) -> ResidueCurrent:
                 alpha=alpha,
                 annihilator=IrreducibleIdeal(b),
             ))
-    entries.sort(key=lambda e: (len(e.K), sorted(e.K), e.face_id))
     return ResidueCurrent(F, tuple(entries), components)
 
 

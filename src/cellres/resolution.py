@@ -41,7 +41,7 @@ def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) ->
     The vertex labels of X must be exactly the minimal generators.
     X with more than ``cap`` vertices raises ``CapExceededError``.
     """
-    if {X.labels[v].exps for v in X.vertices()} != {g.exps for g in M.gens}:
+    if {X.labels[v] for v in X.vertices()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
     ranks = tuple(len(X.grade(k)) for k in range(X.num_grades))
     return FreeComplex(M, X, ranks, exact=is_resolution(X, cap), minimal=is_minimal(X))
@@ -62,7 +62,7 @@ def differential(F: FreeComplex, k: int) -> tuple:
     X = F.complex
     faces = X.faces
     first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
-    return tuple((sid - first, col, sign, tuple(map(sub, f.label.exps, faces[sid].label.exps)))
+    return tuple((sid - first, col, sign, tuple(map(sub, f.label, faces[sid].label)))
                  for col, f in enumerate(X.grade(k)) for sid, sign in f.boundary)
 
 
@@ -98,8 +98,8 @@ def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
 def is_minimal(X: LabeledComplex) -> bool:
     """No face has the same label as one of its boundary faces;
     equivalently, no differential entry is a unit."""
-    labels = [f.label.exps for f in X.faces]
-    return all(labels[sid] != f.label.exps for f in X.faces for sid, _ in f.boundary)
+    faces = X.faces
+    return all(faces[sid].label != f.label for f in faces for sid, _ in f.boundary)
 
 
 def betti_ranks(F: FreeComplex):

@@ -15,7 +15,7 @@ from operator import le
 
 from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_facets
 from cellres.errors import CapExceededError, PreconditionError, VerificationError
-from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
+from cellres.monomial import IrreducibleIdeal, MonomialIdeal
 
 
 def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
@@ -111,17 +111,18 @@ class ScarfPair:
 
     K holds the variables whose ghost vertex is absent from the facet
     (dropped ghosts are absent from every facet); tau the base-generator
-    indices present.  ``label`` is the facet's lcm, which still carries
-    ghost degrees, so cross-D comparisons should use :meth:`key`.
+    indices present.  ``label`` is the exponent tuple of the facet's lcm,
+    which still carries ghost degrees, so cross-D comparisons should use
+    :meth:`key`.
     """
 
     K: frozenset
     tau: frozenset
-    label: Monomial
+    label: tuple
 
     def annihilator(self) -> IrreducibleIdeal:
         """Irreducible ideal on K with the label's exponents."""
-        b = tuple(e if i in self.K else 0 for i, e in enumerate(self.label.exps))
+        b = tuple(e if i in self.K else 0 for i, e in enumerate(self.label))
         return IrreducibleIdeal(b)
 
     def key(self):
@@ -145,7 +146,7 @@ def facet_pairs(gh: GhostedIdeal, delta: LabeledComplex):
     for facet in delta.facets():
         K, tau = set(range(gh.base.nvars)), set()
         for p in facet.vertices:
-            e = delta.labels[p].exps
+            e = delta.labels[p]
             if e in base_idx:
                 tau.add(base_idx[e])
             elif sum(e) == D and D in e:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from cellres.decompose import decompose_brute
 from cellres.errors import DimensionMismatch
 from cellres.ioformats import monomial_str
-from cellres.monomial import Monomial, MonomialIdeal
+from cellres.monomial import MonomialIdeal
 
 SVG_UNIT = 32
 SVG_MARGIN = 48
@@ -20,8 +20,8 @@ def staircase_data(M: MonomialIdeal) -> dict:
     if M.nvars != 2:
         raise DimensionMismatch("staircase diagrams need exactly 2 variables")
     M.require_nonzero()
-    inner = [tuple(g.exps) for g in M.gens]
-    outer = [tuple(c.exponent.exps) for c in decompose_brute(M).components]
+    inner = [g.exps for g in M.gens]
+    outer = [c.exponent.exps for c in decompose_brute(M).components]
     return {"inner_corners": sorted(inner), "outer_corners": sorted(outer)}
 
 
@@ -103,12 +103,12 @@ def svg_staircase(M: MonomialIdeal, names) -> str:
         out.append(f'<text x="{cx - 16}" y="{cy + 4}" font-size="12" text-anchor="middle">{y}</text>')
     for x, y in data["inner_corners"]:
         cx, cy = px(x, y)
-        label = monomial_str(Monomial((x, y)), names)
+        label = monomial_str((x, y), names)
         out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="#222222"/>')
         out.append(f'<text x="{cx + 8}" y="{cy - 6}" font-size="12">{label}</text>')
     for x, y in data["outer_corners"]:
         cx, cy = px(x, y)
-        label = monomial_str(Monomial((x, y)), names)
+        label = monomial_str((x, y), names)
         out.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="white" stroke="#222222" stroke-width="2"/>')
         out.append(f'<text x="{cx + 8}" y="{cy + 16}" font-size="12" font-style="italic">{label}</text>')
     out.append("</svg>")

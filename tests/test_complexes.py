@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -14,6 +15,7 @@ from cellres.complexes import (
     taylor_complex,
 )
 from cellres.errors import CapExceededError, DimensionMismatch, InvalidComplexError
+from cellres.ioformats import parse_complex
 from cellres.monomial import Monomial
 from cellres.scarf import scarf_complex, star_ideal
 from conftest import (
@@ -57,13 +59,29 @@ def test_isolated_vertices():
 
 
 def test_labels_are_lcms():
-    M = xy_square()
-    X = taylor_complex(M)
-    for f in X.faces:
-        expect = [0, 0]
-        for v in f.vertices:
-            expect = [max(a, b) for a, b in zip(expect, X.labels[v].exps)]
-        assert f.label.exps == tuple(expect)
+    M = five_gen_nongeneric()
+    G = random_generic_ideal(random.Random(3), 3, 6, artinian=True)
+    from_json, _ = parse_complex(json.dumps({"labels": [[2, 0], [1, 1], [0, 2]],
+                                             "facets": [[0, 1], [2]]}))
+    built = [
+        taylor_complex(xy_square()),
+        taylor_complex(M),
+        scarf_complex(G),
+        scarf_complex(star_ideal(M).star),
+        from_json,
+        polyhedral_from_incidence(M.gens, hull_specs()),
+        polyhedral_from_incidence(labels((3, 1)), [{"id": "v", "dim": 0, "vertex": 0}]),
+        restrict_leq(taylor_complex(M), Monomial((2, 1, 1))),
+    ]
+    for X in built:
+        assert all(type(m) is tuple for m in X.labels)
+        assert any(f.dim == 0 for f in X.faces)
+        for f in X.faces:
+            expect = [0] * X.nvars
+            for v in f.vertices:
+                expect = [max(a, b) for a, b in zip(expect, X.labels[v])]
+            assert type(f.label) is tuple
+            assert f.label == tuple(expect)
 
 
 def test_boundary_squares_to_zero():
@@ -158,6 +176,8 @@ def test_restrict_examples():
     W = restrict_leq(X, Monomial((0, 0)))
     assert W.dim < 0
     assert is_acyclic(W)
+    with pytest.raises(DimensionMismatch):
+        restrict_leq(X, Monomial((2, 1, 0)))
 
 
 def test_restrict_equals_induced_subcomplex():
@@ -168,7 +188,7 @@ def test_restrict_equals_induced_subcomplex():
         for b in lcm_lattice(X):
             beta = Monomial(b)
             Y = restrict_leq(X, beta)
-            allowed = {v for v in X.vertices() if X.labels[v].divides(beta)}
+            allowed = {v for v in X.vertices() if Monomial(X.labels[v]).divides(beta)}
             induced = {tuple(sorted(f.vertices)) for f in X.faces
                        if f.dim >= 0 and set(f.vertices) <= allowed}
             got = {tuple(sorted(f.vertices)) for f in Y.faces if f.dim >= 0}
@@ -185,7 +205,7 @@ def face_specs(faces):
 def rebuilt_restriction(X, beta):
     """Oracle: X<=beta rebuilt from face specs and validated all over again."""
     return polyhedral_from_incidence(X.labels, face_specs(f for f in X.faces
-                                                          if f.label.divides(beta)))
+                                                          if Monomial(f.label).divides(beta)))
 
 
 def assert_same_complex(got, want):
@@ -354,7 +374,7 @@ def test_lcm_lattice_examples():
 def lattice_by_subsets(X):
     """Oracle: the lcm of every subset of X's vertex labels, the empty
     subset giving the zero vector."""
-    gens = [X.labels[v].exps for v in X.vertices()]
+    gens = [X.labels[v] for v in X.vertices()]
     found = {(0,) * X.nvars}
     for k in range(1, len(gens) + 1):
         for combo in itertools.combinations(gens, k):

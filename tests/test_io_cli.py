@@ -56,18 +56,41 @@ def test_parse_infers_variables_and_warns_on_redundancy():
     assert len(warnings) == 1 and "not minimal" in warnings[0]
 
 
+# (parser, input, message, line, column): refusals of the two parsers and
+# the position each reports; a JSON document that parses but does not fit
+# the format has none
+PARSE_ERRORS = [
+    (parse_ideal, "vars: x,y\nideal: x^2, x^\n", "expected an integer exponent after '^'", 2, 15),
+    (parse_ideal, "vars: x\nideal: x*q", "unknown variable 'q'", 2, 10),
+    (parse_ideal, "ideal: x^2 y", "expected '*' or ',', found 'y'", 1, 12),
+    (parse_ideal, "ideal: x*2", "expected a variable name, found '2'", 1, 10),
+    (parse_ideal, "ideal: x^2, y*", "empty or dangling generator", 1, 12),
+    # comment and blank lines are skipped; a line after 'ideal:' continues it
+    (parse_ideal, "# header\n\nvars: x,y\nideal: x^2,\n  y^3, q  # more\n",
+     "unknown variable 'q'", 5, 8),
+    (parse_ideal, "vars: x\n", "missing 'ideal:' line", 1, 1),
+    (parse_ideal, "ideal: x\nvars: x\n", "'vars:' must come before 'ideal:'", 2, 1),
+    (parse_ideal, "vars: x,2y\nideal: x\n", "bad variable list", 1, 1),
+    (parse_ideal, "vars: x,y,x\nideal: x\n", "repeated variable name", 1, 1),
+    (parse_ideal, "x^2\n", "expected 'vars:' or 'ideal:'", 1, 1),
+    (parse_ideal, "vars: x\nideal: ,\n", "no generators given", 2, 1),
+    (parse_ideal, '{"nvars": 2,', "bad JSON: Expecting property name", 1, 13),
+    (parse_ideal, '{"nvars": 2, "generators": [[1, 0]], "vars": ["x"]}',
+     "'vars' length does not match 'nvars'", None, None),
+    (parse_ideal, '{"nvars": 1, "generators": 3}', "'generators' must be a list, found 3",
+     None, None),
+    (parse_complex, '{"labels": [[1, 0]', "bad JSON: Expecting ',' delimiter", 1, 19),
+    (parse_complex, '{"facets": [[0]]}', "complex document needs 'labels'", None, None),
+    (parse_complex, '{"labels": [[1, 0]]}', "complex document needs 'facets' or 'faces'",
+     None, None),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as exc:
-        parse_ideal("vars: x,y\nideal: x^2, x^\n")
-    assert exc.value.line == 2
-    assert exc.value.column is not None
-    with pytest.raises(ParseError) as exc:
-        parse_ideal("vars: x\nideal: x*q")
-    assert "unknown variable 'q'" in str(exc.value)
-    with pytest.raises(ParseError):
-        parse_ideal("ideal: x^2 y")  # missing '*'
-    with pytest.raises(ParseError):
-        parse_ideal("vars: x\n")  # no ideal line
+    for parse, text, message, line, column in PARSE_ERRORS:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column), text
 
 
 def test_parse_json_ideal():
@@ -90,8 +113,8 @@ def test_text_round_trip():
 
 
 def test_monomial_str_forms():
-    assert monomial_str(Monomial((2, 1, 0)), "xyz") == "x^2*y"
-    assert monomial_str(Monomial((0, 0)), "xy") == "1"
+    assert monomial_str((2, 1, 0), "xyz") == "x^2*y"
+    assert monomial_str((0, 0), "xy") == "1"
     assert ideal_str(mk(2, (1, 0), (0, 3)), "xy") == "(y^3, x)"
 
 

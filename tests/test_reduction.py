@@ -128,10 +128,10 @@ def test_reduction_matches_bareiss_on_taylor_and_scarf_restrictions():
 
 def test_non_unit_incidence_is_refused():
     # built past the constructors, which admit only incidences +-1
-    empty = Face(0, frozenset(), -1, (), Monomial((0,)))
-    vertex = Face(1, frozenset({0}), 0, ((0, 2),), Monomial((1,)))
+    empty = Face(0, frozenset(), -1, (), (0,))
+    vertex = Face(1, frozenset({0}), 0, ((0, 2),), (1,))
     with pytest.raises(VerificationError, match="incidence 2 is not a unit"):
-        reduced_homology_ranks(LabeledComplex((Monomial((1,)),), (empty, vertex)))
+        reduced_homology_ranks(LabeledComplex(((1,),), (empty, vertex)))
 
 
 def test_taylor_exactness_makes_no_rank_call(monkeypatch):

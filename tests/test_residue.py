@@ -151,7 +151,7 @@ def test_zero_alpha_entries_never_created():
     M = five_gen_nongeneric()
     R = residue_current(build_complex(taylor_complex(M), M))
     for e in R.entries:
-        assert all(e.alpha.exps[i] > 0 for i in e.K)
+        assert all(e.alpha[i] > 0 for i in e.K)
     # lcm(x^2, xy, y^2) = (2,2,0) has a zero coordinate: no entry
     assert (2, 3, 4) not in by_tau(R)
 

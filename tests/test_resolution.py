@@ -146,7 +146,7 @@ def test_minimality_examples():
             assert keys == sorted(set(keys))
             rows, cols = X.grade(k - 1), X.grade(k)
             expected = tuple((rows.index(X.faces[sid]), col, sign,
-                              tuple(map(sub, f.label.exps, X.faces[sid].label.exps)))
+                              tuple(map(sub, f.label, X.faces[sid].label)))
                              for col, f in enumerate(cols) for sid, sign in f.boundary)
             assert diff == expected
             assert all(min(quotient) >= 0 for *_, quotient in diff)

@@ -6,7 +6,9 @@ under ``python -O``.  No module-level function is wrapped in
 call and is shared by every caller in the process.  Documents are written
 by ``ioformats.dumps`` alone: no module reaches ``json.dump``/``dumps``,
 whose indented output runs the pure-Python encoder (``json.loads`` is
-fine).
+fine).  Cell labels are exponent tuples: the pipeline modules build no
+``Monomial``, except ``complexes._labels``, which checks caller-supplied
+vertex labels once.
 """
 
 import ast
@@ -26,6 +28,22 @@ def _is_cache(decorator):
     if isinstance(decorator, ast.Attribute):  # functools.cache
         return decorator.attr in ("cache", "lru_cache")
     return isinstance(decorator, ast.Name) and decorator.id in ("cache", "lru_cache")
+
+
+# module -> functions in it that may call Monomial(...)
+MONOMIAL_FREE = {"complexes.py": {"_labels"}, "resolution.py": set(), "scarf.py": set(),
+                 "residue.py": set(), "staircase.py": set(), "cli.py": set()}
+
+
+def _monomial_calls(tree, allowed):
+    """Lines that call Monomial(...) outside the functions named in allowed."""
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in allowed
+              for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and (isinstance(node.func, ast.Name) and node.func.id == "Monomial"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "Monomial")]
 
 
 def _json_writers(tree):
@@ -59,6 +77,13 @@ def test_one_json_writer():
     assert found == []
 
 
+def test_pipeline_builds_no_monomial():
+    trees = _trees()
+    found = [f"{name}:{line}" for name, allowed in MONOMIAL_FREE.items()
+             for line in _monomial_calls(trees[name], allowed)]
+    assert found == []
+
+
 def test_rules_detect_their_targets():
     tree = ast.parse("import functools\n"
                      "@functools.cache\ndef a(): pass\n"
@@ -72,3 +97,8 @@ def test_rules_detect_their_targets():
                         "json.loads('1')\nout = json.dumps({})\nj.dump({}, fh)\n"
                         "dumps = ioformats.dumps\n")
     assert sorted(_json_writers(writers)) == [3, 5, 6]
+    builders = ast.parse("def _labels(labels):\n    return [Monomial(m) for m in labels]\n"
+                         "def face(a, b):\n    c = monomial.Monomial(a)\n"
+                         "    return Monomial(map(max, a, b)), Monomials(c), Monomial\n")
+    assert sorted(_monomial_calls(builders, {"_labels"})) == [4, 5]
+    assert sorted(_monomial_calls(builders, set())) == [2, 4, 5]
