@@ -8,7 +8,7 @@ bounds.
 """
 
 from cellres.complexes import (
-    VERTEX_CAP,
+    ENUMERATION_CAP,
     Face,
     LabeledComplex,
     is_acyclic,
@@ -57,7 +57,7 @@ from cellres.scarf import GhostedIdeal, ScarfPair, scarf_complex, scarf_pairs, s
 __version__ = "0.1.0"
 
 __all__ = [
-    "VERTEX_CAP",
+    "ENUMERATION_CAP",
     "Face",
     "LabeledComplex",
     "is_acyclic",

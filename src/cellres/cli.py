@@ -13,7 +13,7 @@ import functools
 import sys
 
 from cellres import ioformats
-from cellres.complexes import VERTEX_CAP, taylor_complex
+from cellres.complexes import taylor_complex
 from cellres.decompose import (
     _candidate_values,
     associated_primes,
@@ -59,15 +59,15 @@ def _load_ideal(args):
     return M, names
 
 
-def _free_complex(src, M, cap):
+def _free_complex(src, M):
     """The free complex over M on the complex src names, exactness decided."""
     if src == "scarf":
-        X = scarf_complex(M, cap)
+        X = scarf_complex(M)
     elif src == "taylor":
-        X = taylor_complex(M, cap)
+        X = taylor_complex(M)
     else:
         X, _ = ioformats.parse_complex(_read_source(src))
-    return build_complex(X, M, cap)
+    return build_complex(X, M)
 
 
 def _braced(items):
@@ -115,7 +115,7 @@ def _cmd_scarf(args):
         raise PreconditionError("--ghost-exponent needs --star")
     if args.star:
         gh = star_ideal(M, args.ghost_exponent)
-        X = scarf_complex(gh.star, args.cap_vertices)
+        X = scarf_complex(gh.star)
         doc = {
             "complex": ioformats.complex_doc(X, names),
             "ghost_exponent": gh.ghost_exponent,
@@ -127,21 +127,21 @@ def _cmd_scarf(args):
             lines.append(f"  K={_braced(p['K_vars'])} tau={_braced(p['tau'])} "
                          f"annihilator={p['annihilator_str']}")
         return doc, "\n".join(lines) + "\n"
-    X = scarf_complex(M, args.cap_vertices)
+    X = scarf_complex(M)
     doc = {"complex": ioformats.complex_doc(X, names)}
     return doc, "\n".join(_complex_text(X, names, f"scarf complex of {ideal_str(M, names)}")) + "\n"
 
 
 def _cmd_taylor(args):
     M, names = _load_ideal(args)
-    X = taylor_complex(M, args.cap_vertices)
+    X = taylor_complex(M)
     doc = {"complex": ioformats.complex_doc(X, names)}
     return doc, "\n".join(_complex_text(X, names, f"taylor complex of {ideal_str(M, names)}")) + "\n"
 
 
 def _cmd_resolve(args):
     M, names = _load_ideal(args)
-    F = _free_complex(args.complex, M, args.cap_vertices)
+    F = _free_complex(args.complex, M)
     maps = [differential(F, k) for k in range(1, F.complex.num_grades)]
     chain_ok = verify_chain(maps)
     doc = {
@@ -172,13 +172,13 @@ def _cmd_decompose(args):
     if args.complex and args.method != "minimal":
         raise PreconditionError("--complex needs --method minimal")
     if args.method == "scarf":
-        dec = decompose_scarf(M, args.cap_vertices)
+        dec = decompose_scarf(M)
     elif args.method == "minimal":
         if not args.complex:
             raise PreconditionError("--method minimal needs --complex")
         if not M.is_artinian():  # refuse before the costly exactness decision
             raise NotArtinianError("minimal-resolution decomposition needs an Artinian ideal")
-        dec = decompose_minimal(_free_complex(args.complex, M, args.cap_vertices))
+        dec = decompose_minimal(_free_complex(args.complex, M))
     else:
         dec = decompose_brute(M)
     doc = ioformats.decomposition_doc(dec, names)
@@ -205,7 +205,7 @@ def _cmd_residue(args):
     if src is None:  # the unit ideal has no Scarf complex
         src = "scarf" if M.is_generic() and not M.is_unit() else "taylor"
     _candidate_values(M)  # the current needs a brute-force decomposition: refuse before building F
-    report = duality_check(_free_complex(src, M, args.cap_vertices), args.cap_vertices)
+    report = duality_check(_free_complex(src, M))
     doc = {
         "complex_source": src,
         "current": ioformats.residue_doc(report.current, names),
@@ -251,7 +251,7 @@ def _cmd_verify(args):
 
     # each built once and shared by the checks; a failed build is retried and fails the same way
     brute = functools.cache(lambda: set(decompose_brute(M).components))
-    scarf = functools.cache(lambda: _free_complex("scarf", M, args.cap_vertices))
+    scarf = functools.cache(lambda: _free_complex("scarf", M))
 
     def check_brute():
         return f"{len(brute())} components; intersection and irredundancy verified"
@@ -263,7 +263,7 @@ def _cmd_verify(args):
         # the candidate cap skips it before any Scarf work
         def check_scarf():
             reference = brute()
-            a = decompose_scarf(M, args.cap_vertices)
+            a = decompose_scarf(M)
             if set(a.components) != reference:
                 raise VerificationError("scarf and brute-force decompositions differ")
             return f"{len(a.components)} components agree"
@@ -280,7 +280,7 @@ def _cmd_verify(args):
 
         def check_duality():
             brute()  # the current needs the brute-force decomposition
-            report = duality_check(scarf(), args.cap_vertices)
+            report = duality_check(scarf())
             if report.verdict != VERDICT_EXACT:
                 raise VerificationError(f"verdict {report.verdict}")
             return "annihilator bounds both equal the ideal"
@@ -290,7 +290,7 @@ def _cmd_verify(args):
         if M.num_gens > 10:
             raise CapExceededError(
                 f"{M.num_gens} generators exceeds the Taylor check's limit of 10")
-        F = _free_complex("taylor", M, args.cap_vertices)
+        F = _free_complex("taylor", M)
         if not verify_chain([differential(F, k) for k in range(1, F.complex.num_grades)]):
             raise VerificationError("composition of differentials is nonzero")
         if not F.exact:
@@ -310,12 +310,6 @@ def _cmd_verify(args):
     return doc, "\n".join(lines) + "\n", code
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, found {text!r}")
-    return int(text)
-
-
 def _parser():
     p = argparse.ArgumentParser(
         prog="cellres",
@@ -329,31 +323,24 @@ def _parser():
         sp.add_argument("--format", choices=formats, default=formats[0])
         return sp
 
-    def capped(name, summary):
-        # only the subcommands that build a complex or an lcm lattice take a cap
-        sp = common(name, summary)
-        sp.add_argument("--cap-vertices", type=_positive_int, default=VERTEX_CAP, metavar="N",
-                        help="refuse complexes and lcm lattices on more than N vertices")
-        return sp
-
     common("check", "parse an ideal and report basic properties")
-    sp = capped("scarf", "Scarf complex (optionally of the ghosted ideal)")
+    sp = common("scarf", "Scarf complex (optionally of the ghosted ideal)")
     sp.add_argument("--star", action="store_true", help="ghost the ideal and report (K, tau) pairs")
     sp.add_argument("--ghost-exponent", type=int, default=None, metavar="D",
                     help="ghost exponent for --star; default: 1 + the largest exponent")
-    capped("taylor", "full-simplex complex on the generators")
-    sp = capped("resolve", "build the free complex and test exactness/minimality")
+    common("taylor", "full-simplex complex on the generators")
+    sp = common("resolve", "build the free complex and test exactness/minimality")
     sp.add_argument("--complex", required=True, metavar="SRC",
                     help="'scarf', 'taylor', or a complex JSON file")
-    sp = capped("decompose", "irredundant irreducible decomposition")
+    sp = common("decompose", "irredundant irreducible decomposition")
     sp.add_argument("--method", choices=("scarf", "minimal", "brute"), default="brute")
     sp.add_argument("--complex", metavar="SRC", help="required for --method minimal")
     common("ass", "associated primes")
-    sp = capped("residue", "symbolic residue current with classification")
+    sp = common("residue", "symbolic residue current with classification")
     sp.add_argument("--complex", metavar="SRC", default=None,
                     help="'scarf', 'taylor', or a file; default: scarf if generic, else taylor")
     common("staircase", "staircase diagram (2 variables)", formats=("text", "svg", "json"))
-    capped("verify", "cross-check decompositions and resolutions")
+    common("verify", "cross-check decompositions and resolutions")
     return p
 
 

@@ -42,9 +42,18 @@ from cellres.errors import (
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.rank import matrix_rank
 
-# Taylor complexes and lcm lattices enumerate vertex subsets; they and
-# Scarf complexes refuse to run past this many vertices unless overridden.
-VERTEX_CAP = 20
+# Taylor faces, Scarf faces and lcm-lattice points are counted as they are
+# enumerated, and an enumeration that passes this many is refused.  On v
+# vertices each count is at most 2^v, so 20 vertices always pass.
+ENUMERATION_CAP = 2 ** 20
+
+
+def check_cap(count: int, what: str) -> None:
+    """Raise ``CapExceededError`` when an enumeration has reached ``count``
+    ``what``, past ``ENUMERATION_CAP`` (read at each call)."""
+    if count > ENUMERATION_CAP:
+        raise CapExceededError(f"{count} {what} exceeds the cap {ENUMERATION_CAP}")
+
 
 @dataclass(frozen=True)
 class Face:
@@ -229,12 +238,11 @@ def _int(v) -> int:
     return v
 
 
-def taylor_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
+def taylor_complex(M: MonomialIdeal) -> LabeledComplex:
     """Full simplex on the minimal generators (2^r faces)."""
     M.require_nonzero()
     r = M.num_gens
-    if r > cap:
-        raise CapExceededError(f"{r} generators exceeds the vertex cap {cap}")
+    check_cap(2 ** r, "Taylor faces")
     return simplicial_from_facets(M.gens, [tuple(range(r))])
 
 
@@ -381,7 +389,7 @@ def is_acyclic(X: LabeledComplex) -> bool:
     return FaceIndex(X).is_acyclic(range(len(X.faces)))
 
 
-def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
+def lcm_lattice(X: LabeledComplex):
     """Exponent tuples of all lcms of nonempty vertex-label subsets, plus
     the zero vector, sorted.
 
@@ -389,12 +397,12 @@ def lcm_lattice(X: LabeledComplex, cap: int = VERTEX_CAP):
     lattice point, so acyclicity checks only need these degrees.  It is
     built one vertex label g at a time: the lcms of the subsets of the
     labels before g (zero for the empty subset) gain their lcms with g.
+    The count is checked after each step, which at most doubles it, so no
+    more than twice the cap of points are found before a refusal.
     """
-    verts = X.vertices()
-    if len(verts) > cap:
-        raise CapExceededError(f"{len(verts)} vertices exceeds the cap {cap}")
     found = {(0,) * X.nvars}
-    for v in verts:
+    for v in X.vertices():
         g = X.labels[v]
         found |= {tuple(map(max, x, g)) for x in found}
+        check_cap(len(found), "lcm-lattice points")
     return tuple(sorted(found))

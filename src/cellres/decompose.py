@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from cellres.complexes import VERTEX_CAP
 from cellres.errors import (
     CapExceededError,
     NotArtinianError,
@@ -79,11 +78,11 @@ class Decomposition:
             raise VerificationError(f"{self.method}: decomposition is redundant")
 
 
-def decompose_scarf(M: MonomialIdeal, cap: int = VERTEX_CAP) -> Decomposition:
+def decompose_scarf(M: MonomialIdeal) -> Decomposition:
     """Components from the ghosted Scarf facets; generic ideals only."""
     if not M.is_generic():
         raise NotGenericError("Scarf decomposition requires a generic ideal")
-    components = tuple(sorted(p.annihilator() for p in scarf_pairs(M, cap=cap)))
+    components = tuple(sorted(p.annihilator() for p in scarf_pairs(M)))
     if len(set(components)) != len(components):
         raise VerificationError("scarf: repeated component")
     dec = Decomposition(M, components, METHOD_SCARF)

@@ -43,7 +43,7 @@ class LabelMismatchError(PreconditionError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would exceed its configured size cap."""
+    """An enumeration would exceed its size cap."""
 
 
 class VerificationError(RuntimeError):

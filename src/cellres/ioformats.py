@@ -128,6 +128,8 @@ def parse_ideal(text: str):
         if stripped.lower().startswith("vars:"):
             if in_ideal:
                 raise ParseError("'vars:' must come before 'ideal:'", lineno, 1)
+            if declared is not None:
+                raise ParseError("repeated 'vars:' line", lineno, 1)
             names = [v.strip() for v in stripped[5:].split(",")]
             if not all(_NAME_RE.fullmatch(v) for v in names):
                 raise ParseError("bad variable list", lineno, 1)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from cellres.complexes import VERTEX_CAP
 from cellres.decompose import decompose_brute, prime_key
 from cellres.errors import NotResolutionError
 from cellres.monomial import IrreducibleIdeal, MonomialIdeal, unit_ideal
@@ -127,14 +126,19 @@ def residue_current(F: FreeComplex) -> ResidueCurrent:
     return ResidueCurrent(F, tuple(entries), components)
 
 
-def classify(current: ResidueCurrent, cap: int = VERTEX_CAP) -> ResidueCurrent:
+def classify(current: ResidueCurrent) -> ResidueCurrent:
     """Tag every entry zero / nonzero / unknown, recording the rule."""
     F = current.resolution
     M = F.ideal
     generic = M.is_generic() and not M.is_unit()  # the unit ideal has no Scarf pairs
     pair_keys = set()
     if generic:
-        pair_keys = {(p.K, p.tau) for p in scarf_pairs(M, cap=cap)}
+        # a pair's tau indexes M.gens, an entry's the vertices of F.complex:
+        # they meet through the vertex labels, which are the generators
+        X = F.complex
+        vertex = {X.labels[v]: v for v in X.vertices()}
+        pair_keys = {(p.K, frozenset(vertex[M.gens[i].exps] for i in p.tau))
+                     for p in scarf_pairs(M)}
     minimal = F.minimal and M.is_artinian()
     facet_ids = {f.id for f in F.complex.facets()}
 
@@ -194,7 +198,7 @@ class DualityReport:
     current: ResidueCurrent
 
 
-def duality_check(F: FreeComplex, cap: int = VERTEX_CAP) -> DualityReport:
+def duality_check(F: FreeComplex) -> DualityReport:
     """Compare the annihilator bounds of F's classified current with M = F.ideal.
 
     "exact" when both bounds equal M; "consistent" when M sits strictly
@@ -202,7 +206,7 @@ def duality_check(F: FreeComplex, cap: int = VERTEX_CAP) -> DualityReport:
     unless something is broken.
     """
     M = F.ideal
-    current = classify(residue_current(F), cap)
+    current = classify(residue_current(F))
     lower, upper = annihilator_bounds(current)
     if lower == M and upper == M:
         verdict = VERDICT_EXACT

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, sub
 
-from cellres.complexes import VERTEX_CAP, FaceIndex, LabeledComplex, lcm_lattice
+from cellres.complexes import FaceIndex, LabeledComplex, lcm_lattice
 from cellres.errors import LabelMismatchError, NotMinimalError, NotResolutionError
 from cellres.monomial import MonomialIdeal
 
@@ -34,17 +34,17 @@ class FreeComplex:
     minimal: bool
 
 
-def build_complex(X: LabeledComplex, M: MonomialIdeal, cap: int = VERTEX_CAP) -> FreeComplex:
+def build_complex(X: LabeledComplex, M: MonomialIdeal) -> FreeComplex:
     """Free complex supported on X over the generators of M, exactness
-    (lcm lattice capped at ``cap`` vertices) and minimality decided.
+    and minimality decided.
 
-    The vertex labels of X must be exactly the minimal generators.
-    X with more than ``cap`` vertices raises ``CapExceededError``.
+    The vertex labels of X must be exactly the minimal generators.  An
+    lcm lattice of X past the enumeration cap raises ``CapExceededError``.
     """
     if {X.labels[v] for v in X.vertices()} != {g.exps for g in M.gens}:
         raise LabelMismatchError("vertex labels are not the minimal generators of the ideal")
     ranks = tuple(len(X.grade(k)) for k in range(X.num_grades))
-    return FreeComplex(M, X, ranks, exact=is_resolution(X, cap), minimal=is_minimal(X))
+    return FreeComplex(M, X, ranks, exact=is_resolution(X), minimal=is_minimal(X))
 
 
 def differential(F: FreeComplex, k: int) -> tuple:
@@ -84,13 +84,13 @@ def verify_chain(maps) -> bool:
     return True
 
 
-def is_resolution(X: LabeledComplex, cap: int = VERTEX_CAP) -> bool:
+def is_resolution(X: LabeledComplex) -> bool:
     """Exactness criterion: every degree restriction of X is acyclic.
 
     Each restriction is a set of X's face ids, reduced in place; no
     complex is built per lattice point.
     """
-    points = lcm_lattice(X, cap)  # refuses past the cap before X is indexed
+    points = lcm_lattice(X)  # refuses past the cap before X is indexed
     index = FaceIndex(X)
     return all(index.is_acyclic(index.leq(beta)) for beta in points)
 

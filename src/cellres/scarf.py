@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from cellres.complexes import VERTEX_CAP, LabeledComplex, simplicial_from_facets
-from cellres.errors import CapExceededError, PreconditionError, VerificationError
+from cellres.complexes import LabeledComplex, check_cap, simplicial_from_facets
+from cellres.errors import PreconditionError, VerificationError
 from cellres.monomial import IrreducibleIdeal, MonomialIdeal
 
 
-def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
+def scarf_complex(M: MonomialIdeal) -> LabeledComplex:
     """Subsets of generators whose lcm is attained by no other subset.
 
     A nonempty subset sigma is a Scarf face iff (a) no generator m_j with
@@ -35,21 +35,20 @@ def scarf_complex(M: MonomialIdeal, cap: int = VERTEX_CAP) -> LabeledComplex:
     (a); its lcm is one join with a label stored for level k.  (b) then
     holds already: sigma minus i is a Scarf face, so sigma, a different
     subset, cannot share its lcm.  The work follows the number of faces,
-    not the 2^r subsets.  Growth stops at the first empty level, so the
-    closure count and the dimension bound n-1 (theorems for any M) stay
-    checks for bugs.
+    not the 2^r subsets, and the faces kept (with the empty one) are
+    counted against the enumeration cap after each level.  Growth stops
+    at the first empty level, so the closure count and the dimension
+    bound n-1 (theorems for any M) stay checks for bugs.
     """
     M.require_nonzero()
     if M.is_unit():
         raise PreconditionError("the unit ideal has no Scarf complex")
-    r = M.num_gens
-    if r > cap:
-        raise CapExceededError(f"{r} generators exceeds the vertex cap {cap}")
     exps = [g.exps for g in M.gens]
 
     level = {(i,): e for i, e in enumerate(exps)}
     kept = list(level)
     while level:
+        check_cap(len(kept) + 1, "Scarf faces")
         by_prefix = {}
         for face in sorted(level):
             by_prefix.setdefault(face[:-1], []).append(face[-1])
@@ -130,10 +129,10 @@ class ScarfPair:
         return (tuple(sorted(self.K)), tuple(sorted(self.tau)), self.annihilator().exponent.exps)
 
 
-def scarf_pairs(M: MonomialIdeal, D: int | None = None, cap: int = VERTEX_CAP):
+def scarf_pairs(M: MonomialIdeal, D: int | None = None):
     """(K, tau) pairs for the facets of the ghosted Scarf complex."""
     gh = star_ideal(M, D)
-    return facet_pairs(gh, scarf_complex(gh.star, cap))
+    return facet_pairs(gh, scarf_complex(gh.star))
 
 
 def facet_pairs(gh: GhostedIdeal, delta: LabeledComplex):

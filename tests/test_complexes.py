@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import cellres.complexes
 from cellres.complexes import (
     is_acyclic,
     lcm_lattice,
@@ -411,12 +412,22 @@ def test_lcm_lattice_matches_all_subsets():
         assert len(lcm_lattice(X)) == 7
 
 
-def test_lcm_lattice_cap():
+def test_lcm_lattice_cap(monkeypatch):
+    # 21 staircase vertices: k of them give 1 + k(k+1)/2 points, counted as
+    # the lattice grows, so a refusal comes at the first vertex past the cap
     M = mk(2, *[(i + 1, 22 - i) for i in range(21)])
     X = simplicial_from_facets(M.gens, [(i,) for i in range(21)])
-    with pytest.raises(CapExceededError):
+    assert len(lcm_lattice(X)) == 1 + 21 * 22 // 2
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 100)
+    with pytest.raises(CapExceededError, match="^106 lcm-lattice points exceeds the cap 100$"):
         lcm_lattice(X)
-    assert len(lcm_lattice(X, cap=21)) > 0
+
+
+def test_taylor_cap():
+    # 2^21 faces on 21 generators; 20 generators make 2^20, which the cap allows
+    M = mk(2, *[(i + 1, 22 - i) for i in range(21)])
+    with pytest.raises(CapExceededError, match="^2097152 Taylor faces exceeds the cap 1048576$"):
+        taylor_complex(M)
 
 
 def test_vertex_index_out_of_range():

@@ -72,6 +72,7 @@ PARSE_ERRORS = [
     (parse_ideal, "ideal: x\nvars: x\n", "'vars:' must come before 'ideal:'", 2, 1),
     (parse_ideal, "vars: x,2y\nideal: x\n", "bad variable list", 1, 1),
     (parse_ideal, "vars: x,y,x\nideal: x\n", "repeated variable name", 1, 1),
+    (parse_ideal, "vars: x,y\nvars: a,b\nideal: a*b\n", "repeated 'vars:' line", 2, 1),
     (parse_ideal, "x^2\n", "expected 'vars:' or 'ideal:'", 1, 1),
     (parse_ideal, "vars: x\nideal: ,\n", "no generators given", 2, 1),
     (parse_ideal, '{"nvars": 2,', "bad JSON: Expecting property name", 1, 13),
@@ -168,7 +169,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["check", bad]) == 2
     nongeneric = _write(tmp_path, "m5.txt", ideal_text(five_gen_nongeneric()))
     assert main(["decompose", nongeneric, "--method", "scarf"]) == 3
-    assert main(["scarf", nongeneric, "--cap-vertices", "3"]) == 4
+    many = _write(tmp_path, "m21.txt", ideal_text(mk(2, *[(i + 1, 22 - i) for i in range(21)])))
+    assert main(["taylor", many]) == 4  # 2^21 faces
     assert main(["check", str(tmp_path / "missing.txt")]) == 2
     assert main(["staircase", nongeneric]) == 3  # needs 2 variables
     capsys.readouterr()
@@ -330,21 +332,26 @@ def test_cli_verify_reports_skipped_taylor_check(tmp_path, capsys):
     assert "ok taylor-resolution" not in out and out.endswith("all checks passed\n")
 
 
-def test_cli_verify_fails_when_every_check_is_skipped(tmp_path, capsys):
-    # seven generators with pairwise distinct exponents in seven variables: 2^21
-    # brute-force candidates pass the candidate cap, and vertex cap 1 stops the rest
-    rng = random.Random(67)
-    columns = [rng.sample(range(1, 30), 7) for _ in range(7)]
-    M = mk(7, *zip(*columns))
+def test_cli_runs_a_large_ideal_with_a_small_scarf_complex(tmp_path, capsys):
+    # 22 generators: their Scarf complexes and lcm lattice are small, and the
+    # caps count those, not the vertices
+    M = g_class(3, 19, 120, 4)
+    assert M.num_gens == 22
     path = _write(tmp_path, "m.txt", ideal_text(M))
-    assert main(["verify", path, "--cap-vertices", "1", "--format", "json"]) == 4
+    for argv in (["scarf"], ["scarf", "--star"], ["decompose", "--method", "scarf"],
+                 ["resolve", "--complex", "scarf"], ["residue"]):
+        assert main([argv[0], path, *argv[1:], "--format", "json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+
+
+def test_cli_verify_fails_when_every_check_is_skipped(tmp_path, capsys):
+    # g5: 2^20 brute-force candidates pass the candidate cap, and 19 generators
+    # the Taylor check's limit; the text form is checked on g5 below
+    path = _write(tmp_path, "g5.txt", ideal_text(g_class(5, 14, 80, 7)))
+    assert main(["verify", path, "--format", "json"]) == 4
     doc = json.loads(capsys.readouterr().out)
-    assert doc["checks"] and all(c["skipped"] is True for c in doc["checks"])
+    assert len(doc["checks"]) == 5 and all(c["skipped"] is True for c in doc["checks"])
     assert doc["all_passed"] is False
-    assert main(["verify", path, "--cap-vertices", "1"]) == 4
-    lines = capsys.readouterr().out.splitlines()
-    assert all(line.startswith("skip ") for line in lines[:-1])
-    assert lines[-1] == "no check ran: every check was skipped"
 
 
 def test_cli_residue_refuses_over_candidate_cap_before_building(tmp_path, capsys, monkeypatch):
@@ -433,14 +440,16 @@ def test_cli_decompose_minimal_refuses_non_artinian_before_building(tmp_path, ca
     # the twelve degree-4 monomials in x, y, z with every exponent below 4
     import itertools
 
+    import cellres.complexes
     import cellres.resolution
 
     calls = count_calls(monkeypatch, cellres.resolution, "build_complex")
     gens = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 4]
     path = _write(tmp_path, "m.txt", ideal_text(mk(3, *gens)))
-    for cap in ([], ["--cap-vertices", "3"]):
-        argv = ["decompose", path, "--method", "minimal", "--complex", "taylor"]
-        assert main(argv + cap) == 3
+    argv = ["decompose", path, "--method", "minimal", "--complex", "taylor"]
+    for cap in (cellres.complexes.ENUMERATION_CAP, 3):  # the refusal comes before any cap
+        monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", cap)
+        assert main(argv) == 3
         assert "needs an Artinian ideal" in capsys.readouterr().err
     assert calls == []
 
@@ -550,6 +559,7 @@ def test_cli_decompose_intersects_once(tmp_path, capsys, monkeypatch, method):
 
 def test_cli_verify_builds_scarf_complex_once(tmp_path, capsys, monkeypatch):
     import cellres.cli
+    import cellres.complexes
 
     calls = []
     original = cellres.cli.scarf_complex
@@ -569,14 +579,15 @@ def test_cli_verify_builds_scarf_complex_once(tmp_path, capsys, monkeypatch):
     # a build past the cap skips both checks that share it, with the same message;
     # the checks that ran decide the verdict and the exit code
     calls.clear()
-    assert main(["verify", paths[0], "--cap-vertices", "3", "--format", "json"]) == 0
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 3)
+    assert main(["verify", paths[0], "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     checks = {c["name"]: c for c in doc["checks"]}
     assert len(calls) == 2
     for name in ("minimal-equals-brute", "duality-exact"):
         assert checks[name]["passed"] is None and checks[name]["skipped"] is True
     assert checks["minimal-equals-brute"]["detail"] == checks["duality-exact"]["detail"]
-    assert "exceeds the vertex cap 3" in checks["duality-exact"]["detail"]
+    assert checks["duality-exact"]["detail"].endswith("Scarf faces exceeds the cap 3")
     assert checks["brute-decomposition"]["passed"] is True and doc["all_passed"] is True
 
 
@@ -664,10 +675,9 @@ def test_cli_refuses_a_flag_it_would_ignore(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["decompose", "--ghost-exponent", "7"],
-    ["check", "--cap-vertices", "3"],
-    ["ass", "--cap-vertices", "3"],
-    ["staircase", "--cap-vertices", "3"],
-], ids=["decompose-ghost-exponent", "check-cap", "ass-cap", "staircase-cap"])
+    *([name, *(["--complex", "scarf"] if name == "resolve" else []), "--cap-vertices", "3"]
+      for name in _HANDLERS),
+], ids=["decompose-ghost-exponent", *(f"{name}-cap" for name in _HANDLERS)])
 def test_cli_options_that_change_nothing_are_not_accepted(tmp_path, capsys, argv):
     path = _write(tmp_path, "m.txt", ideal_text(three_gen_nonartinian()))
     with pytest.raises(SystemExit) as exc:
@@ -685,15 +695,10 @@ def test_every_option_is_read_by_its_handler():
               for action in sp._actions if action.dest not in ("help", "ideal", "format")
               and f"args.{action.dest}" not in inspect.getsource(_HANDLERS[name])]
     assert unread == []
-
-
-@pytest.mark.parametrize("cap", ["-1", "0", "two"])
-def test_cli_cap_vertices_must_be_positive(tmp_path, capsys, cap):
-    path = _write(tmp_path, "m.txt", "vars: x,y\nideal: x^2, x*y, y^2\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["scarf", path, "--cap-vertices", cap])
-    assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+    # every settable value but the ideal itself; a new one is a deliberate edit here
+    settable = [action for sp in subparsers.choices.values() for action in sp._actions
+                if action.dest not in ("help", "ideal")]
+    assert len(settable) == 15
 
 
 # the writer emits what the result documents hold: containers of str, int, bool and None

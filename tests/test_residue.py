@@ -125,6 +125,26 @@ def test_generic_scarf_nonzero_set_is_pair_set():
         assert nonzero == {(p.K, p.tau) for p in scarf_pairs(M)}
 
 
+def test_classification_follows_vertex_labels_not_their_order():
+    # a complex may number the generators in any order: each entry keeps the
+    # (status, rule) of the face with the same vertex labels
+    rng = random.Random(417)
+    for _ in range(20):
+        M = random_generic_ideal(rng, rng.randint(1, 3), rng.randint(1, 5))
+        gens = [g.exps for g in M.gens]
+        rules = []
+        for labels in (gens, rng.sample(gens, len(gens))):
+            R = classified(M, simplicial_from_facets(labels, [range(len(labels))]))
+            rules.append({(e.K, frozenset(labels[v] for v in e.tau)): (e.status, e.rule)
+                          for e in R.entries})
+        assert rules[0] == rules[1], M
+    # the Scarf complex of (x^4, x^2*y, x*y^2) with x^4 as vertex 0: x*y^2 carries x
+    M = three_gen_nonartinian()
+    R = classified(M, simplicial_from_facets([(4, 0), (2, 1), (1, 2)], [(0, 1), (1, 2)]))
+    x_entries = {e.tau: e.rule for e in R.entries if e.K == {0} and e.status == NONZERO}
+    assert x_entries == {frozenset({2}): "scarf-facet"}
+
+
 def test_generic_classification_always_completes():
     rng = random.Random(403)
     for _ in range(15):

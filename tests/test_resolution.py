@@ -4,6 +4,7 @@ from operator import sub
 
 import pytest
 
+import cellres.complexes
 from cellres.complexes import LabeledComplex, lcm_lattice, simplicial_from_facets, taylor_complex
 from cellres.errors import CapExceededError, LabelMismatchError, NotMinimalError
 from cellres.resolution import (
@@ -64,12 +65,15 @@ def test_label_mismatch_rejected():
         build_complex(taylor_complex(other), M)
 
 
-def test_build_complex_refuses_past_the_vertex_cap():
-    # exactness is always decided, over the lcm lattice of every vertex
+def test_build_complex_refuses_past_the_vertex_cap(monkeypatch):
+    # exactness is always decided, over the lcm lattice of every vertex, whose
+    # points are counted as they are found: two vertices already give four
     M = xy_square()
-    with pytest.raises(CapExceededError, match="3 vertices exceeds the cap 2"):
-        build_complex(taylor_complex(M), M, cap=2)
-    assert build_complex(taylor_complex(M), M, cap=3).exact
+    X = taylor_complex(M)
+    assert build_complex(X, M).exact
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 3)
+    with pytest.raises(CapExceededError, match="^4 lcm-lattice points exceeds the cap 3$"):
+        build_complex(X, M)
 
 
 def test_chain_condition_holds_and_detects_corruption():

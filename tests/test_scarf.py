@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import cellres.complexes
 from cellres.errors import CapExceededError, PreconditionError, VerificationError
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.scarf import GhostedIdeal, scarf_complex, scarf_pairs, star_ideal
@@ -93,7 +94,7 @@ def test_scarf_work_follows_its_output():
     """A 30-generator staircase gives its path; a walk over all 2^30
     generator subsets would not finish."""
     M, _ = random_staircase(random.Random(219), 30)
-    X = scarf_complex(M, cap=30)
+    X = scarf_complex(M)
     assert len(X.grade(1)) == 30 and len(X.grade(2)) == 29 and X.dim == 1
     assert facet_sets(X) == {frozenset({i, i + 1}) for i in range(29)}
 
@@ -105,11 +106,18 @@ def test_scarf_dimension_bound():
         assert scarf_complex(M).dim <= M.nvars - 1
 
 
-def test_scarf_cap():
+def test_scarf_cap(monkeypatch):
+    # the cap counts the faces kept, with the empty one, after each level:
+    # a 21-generator staircase keeps 21 vertices, then 20 edges
     gens = [(i + 1, 25 - i) for i in range(21)]
     M = mk(2, *gens)
-    with pytest.raises(CapExceededError):
+    assert len(scarf_complex(M).faces) == 42
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 30)
+    with pytest.raises(CapExceededError, match="^42 Scarf faces exceeds the cap 30$"):
         scarf_complex(M)
+    # the ghosted complex is counted the same way
+    with pytest.raises(CapExceededError, match="Scarf faces exceeds the cap 30$"):
+        scarf_pairs(M)
 
 
 def test_scarf_rejects_unit_ideal():
