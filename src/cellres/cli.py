@@ -250,11 +250,11 @@ def _cmd_verify(args):
             checks.append({"name": name, "passed": False, "detail": str(exc)})
 
     # each built once and shared by the checks; a failed build is retried and fails the same way
-    brute = functools.cache(lambda: set(decompose_brute(M).components))
+    brute = functools.cache(lambda: decompose_brute(M))
     scarf = functools.cache(lambda: _free_complex("scarf", M))
 
     def check_brute():
-        return f"{len(brute())} components; intersection and irredundancy verified"
+        return f"{len(brute().components)} components; intersection and irredundancy verified"
 
     run("brute-decomposition", check_brute)
 
@@ -262,7 +262,7 @@ def _cmd_verify(args):
         # each comparison takes its brute-force reference first, so a run past
         # the candidate cap skips it before any Scarf work
         def check_scarf():
-            reference = brute()
+            reference = set(brute().components)
             a = decompose_scarf(M)
             if set(a.components) != reference:
                 raise VerificationError("scarf and brute-force decompositions differ")
@@ -271,7 +271,7 @@ def _cmd_verify(args):
 
         if M.is_artinian():
             def check_minimal():
-                reference = brute()
+                reference = set(brute().components)
                 dec = decompose_minimal(scarf())
                 if set(dec.components) != reference:
                     raise VerificationError("minimal-resolution decomposition differs from brute force")
@@ -279,8 +279,8 @@ def _cmd_verify(args):
             run("minimal-equals-brute", check_minimal)
 
         def check_duality():
-            brute()  # the current needs the brute-force decomposition
-            report = duality_check(scarf())
+            dec = brute()  # before scarf(), so that the candidate cap refuses first
+            report = duality_check(scarf(), dec)
             if report.verdict != VERDICT_EXACT:
                 raise VerificationError(f"verdict {report.verdict}")
             return "annihilator bounds both equal the ideal"

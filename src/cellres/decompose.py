@@ -15,9 +15,9 @@ the ideal and none can be dropped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from operator import ge
 
 from cellres.errors import (
     CapExceededError,
@@ -67,9 +67,13 @@ class Decomposition:
         return self.intersection() == self.ideal and not self._has_nested_pair()
 
     def _has_nested_pair(self) -> bool:
-        return any(i != j and outer.contains(inner)
-                   for i, outer in enumerate(self.components)
-                   for j, inner in enumerate(self.components))
+        # IrreducibleIdeal.contains on exponent tuples: m^outer holds m^inner
+        # iff each inner_i is 0 or at least a positive outer_i, that is iff
+        # inner >= outer componentwise once a 0 (no generator) reads as inf
+        exps = [tuple(e or math.inf for e in c.exponent.exps) for c in self.components]
+        return any(i != j and all(map(ge, inner, outer))
+                   for i, outer in enumerate(exps)
+                   for j, inner in enumerate(exps))
 
     def verify(self):
         if self.intersection() != self.ideal:
@@ -125,12 +129,22 @@ def decompose_brute(M: MonomialIdeal) -> Decomposition:
     keep those whose irreducible ideal m^b contains M.  The components
     are the inclusion-minimal ones among these.
 
+    Containment is read off generator-coverage bitmasks.  m^b contains a
+    generator g iff g_i >= b_i > 0 for some i, so for each variable i and
+    value v the mask of (i, v) has bit j set iff v > 0 and g_j[i] >= v.
+    m^b contains M iff every generator lies in it, that is iff the OR of
+    the masks of (i, b_i) over all i has every generator's bit set: the
+    same predicate, one OR per coordinate instead of a pass over the
+    generators.  The zero vector has empty masks, so it never qualifies.
+
     Minimality is tested locally.  A one-coordinate step from b to a
     smaller ideal, at some i in supp(b), either raises b_i to the next
     value of its value set or sets b_i to 0.  If M lies in some m^c
     strictly inside m^b, a step at a coordinate where c differs from b
     lands on a grid vector b' with m^c inside m^b' inside m^b, so M lies
-    in m^b' too.  Hence b is minimal iff none of its at most 2n
+    in m^b' too.  Setting b_i to 0 gives an ideal inside the one raising
+    it gives, so only the raise is looked up, or the step to 0 when b_i
+    is the largest value.  Hence b is minimal iff none of its at most n
     neighbours contains M: a few set lookups per candidate instead of a
     comparison with every other candidate.  The minimal candidates are
     exactly the irredundant components, so nothing is left to drop;
@@ -140,29 +154,42 @@ def decompose_brute(M: MonomialIdeal) -> Decomposition:
     if M.is_unit():
         return Decomposition(M, (), METHOD_BRUTE)
     value_sets = _candidate_values(M)
-    gens_exps = [g.exps for g in M.gens]
-    containing = set()
-    for b in itertools.product(*value_sets):
-        if any(b) and all(any(bv and gv >= bv for gv, bv in zip(g, b)) for g in gens_exps):
-            containing.add(b)
+    gens = [g.exps for g in M.gens]
+    masks = [[(v, sum(1 << j for j, g in enumerate(gens) if v and g[i] >= v)) for v in vs]
+             for i, vs in enumerate(value_sets)]
+    containing = _covering(masks, (1 << len(gens)) - 1)
 
-    next_value = [dict(zip(vs, vs[1:])) for vs in value_sets]
+    # vs[0] is 0: each positive value steps to the next one, the largest to 0
+    step = [dict(zip(vs[1:], vs[2:] + [0])) for vs in value_sets]
 
     def has_smaller_neighbour(b):
         for i, bv in enumerate(b):
-            if bv:
-                head, tail = b[:i], b[i + 1:]
-                if head + (0,) + tail in containing:
-                    return True
-                up = next_value[i].get(bv)
-                if up is not None and head + (up,) + tail in containing:
-                    return True
+            if bv and b[:i] + (step[i][bv],) + b[i + 1:] in containing:
+                return True
         return False
 
     minimal = sorted(b for b in containing if not has_smaller_neighbour(b))
     dec = Decomposition(M, tuple(IrreducibleIdeal(b) for b in minimal), METHOD_BRUTE)
     dec.verify()
     return dec
+
+
+def _covering(masks, full):
+    """The grid vectors whose masks OR to ``full``; ``masks[i]`` lists the
+    (value, mask) pairs of coordinate i.  Depth first, so each prefix's
+    OR is formed once and shared by all its extensions."""
+    found = set()
+    *head, last = masks
+
+    def extend(prefix, cover, i):
+        if i == len(head):
+            found.update(prefix + (v,) for v, m in last if cover | m == full)
+            return
+        for v, m in head[i]:
+            extend(prefix + (v,), cover | m, i + 1)
+
+    extend((), 0, 0)
+    return found
 
 
 def associated_primes(M: MonomialIdeal):

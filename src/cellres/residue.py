@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from cellres.decompose import decompose_brute, prime_key
-from cellres.errors import NotResolutionError
+from cellres.decompose import Decomposition, decompose_brute, prime_key
+from cellres.errors import NotResolutionError, PreconditionError
 from cellres.monomial import IrreducibleIdeal, MonomialIdeal, unit_ideal
 from cellres.resolution import FreeComplex
 from cellres.scarf import scarf_pairs
@@ -98,15 +98,22 @@ class ResidueCurrent:
         return tuple(e for e in self.entries if e.status in statuses)
 
 
-def residue_current(F: FreeComplex) -> ResidueCurrent:
+def residue_current(F: FreeComplex, dec: Decomposition | None = None) -> ResidueCurrent:
     """Build the (unclassified) current of an ideal over its resolution F.
+
+    ``dec`` is F.ideal's irredundant irreducible decomposition, if the
+    caller already has it; by default it is computed by brute force.
 
     Primes are taken in canonical order and each grade's faces by id, so
     the entries come out in (prime, face id) order.
     """
     if not F.exact:
         raise NotResolutionError("the complex does not support a resolution")
-    components = decompose_brute(F.ideal).components
+    if dec is None:
+        dec = decompose_brute(F.ideal)
+    elif dec.ideal != F.ideal:
+        raise PreconditionError("the decomposition is of another ideal than the resolution's")
+    components = dec.components
     primes = sorted({frozenset(c.support) for c in components}, key=prime_key)
     entries = []
     for K in primes:
@@ -198,15 +205,17 @@ class DualityReport:
     current: ResidueCurrent
 
 
-def duality_check(F: FreeComplex) -> DualityReport:
+def duality_check(F: FreeComplex, dec: Decomposition | None = None) -> DualityReport:
     """Compare the annihilator bounds of F's classified current with M = F.ideal.
+
+    ``dec`` is passed on to ``residue_current``.
 
     "exact" when both bounds equal M; "consistent" when M sits strictly
     between them (some entries stayed unknown); "violated" never happens
     unless something is broken.
     """
     M = F.ideal
-    current = classify(residue_current(F))
+    current = classify(residue_current(F, dec))
     lower, upper = annihilator_bounds(current)
     if lower == M and upper == M:
         verdict = VERDICT_EXACT

@@ -264,12 +264,44 @@ def oracle_family(seed, count):
     return out
 
 
+def wide_oracle_family(seed, count):
+    """Seeded ideals with n = 5 and 11 to 16 generators, with few distinct
+    exponents per variable so that oracle_components' O(C^2) filter stays
+    fast.  In turn: strongly generic Artinian ideals, the same without the
+    last variable's pure power, non-generic ideals, and ideals with no
+    pure power of the last variable.  The strongly generic ones have
+    generators on distinct pairs of variables, with distinct degrees in
+    each variable, so none divides another, and pure powers above them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        if kind < 2:
+            pairs = rng.sample(list(itertools.combinations(range(5), 2)), rng.randint(7, 8))
+            degrees = [rng.sample(range(1, 6), 5) for _ in range(5)]
+            gens = [tuple(degrees[i].pop() if i in pair else 0 for i in range(5)) for pair in pairs]
+            gens += [tuple(6 if j == i else 0 for j in range(5)) for i in range(5 - kind)]
+            M = mk(5, *gens)
+        elif kind == 2:
+            M = random_ideal(rng, 5, rng.randint(17, 22), maxdeg=2)
+        else:
+            gens = [tuple(rng.randint(0, 2) for _ in range(5)) for _ in range(rng.randint(17, 22))]
+            M = mk(5, *(g for g in gens if any(g[:-1])))
+        if 11 <= M.num_gens <= 16:
+            out.append(M)
+    return out
+
+
 def test_brute_matches_oracle_decomposition():
     family = oracle_family(331, 300)
     assert {M.nvars for M in family} == {1, 2, 3, 4}
     assert any(not M.is_generic() for M in family)
     assert any(not M.is_artinian() for M in family)
-    for M in family:
+    wide = wide_oracle_family(353, 8)
+    assert any(M.is_strongly_generic() and M.is_artinian() for M in wide)
+    assert any(M.is_strongly_generic() and not M.is_artinian() for M in wide)
+    assert any(not M.is_generic() for M in wide)
+    for M in family + wide:
         assert exps(decompose_brute(M)) == oracle_components(M), M
 
 

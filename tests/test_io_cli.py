@@ -502,6 +502,19 @@ def test_cli_decides_exactness_once(tmp_path, capsys, monkeypatch, command):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "residue"])
+def test_cli_decomposes_once(tmp_path, capsys, monkeypatch, command):
+    # verify hands its brute-force decomposition to the duality check
+    import cellres.decompose
+
+    calls = count_calls(monkeypatch, cellres.decompose, "decompose_brute")
+    for path in _generic_artinian_paths(tmp_path):
+        calls.clear()
+        assert main([command, path]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
 def test_cli_derives_differentials_only_where_read(tmp_path, capsys, monkeypatch):
     # residue and minimal decomposition read F's exact and minimal fields, never its maps
     import cellres.resolution

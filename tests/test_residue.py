@@ -4,7 +4,7 @@ import pytest
 
 from cellres.complexes import polyhedral_from_incidence, simplicial_from_facets, taylor_complex
 from cellres.decompose import decompose_brute, decompose_scarf, primary_grouping
-from cellres.errors import LabelMismatchError, NotResolutionError
+from cellres.errors import LabelMismatchError, NotResolutionError, PreconditionError
 from cellres.monomial import IrreducibleIdeal, unit_ideal
 from cellres.residue import (
     NONZERO,
@@ -338,18 +338,27 @@ def test_classify_reads_minimality_from_the_current(monkeypatch):
 
 
 def test_duality_check_decomposes_once(monkeypatch):
-    import cellres.residue
+    import cellres.decompose
 
-    calls = []
-
-    def counting(M, *args, **kwargs):
-        calls.append(M)
-        return decompose_brute(M, *args, **kwargs)
-
-    monkeypatch.setattr(cellres.residue, "decompose_brute", counting)
+    calls = count_calls(monkeypatch, cellres.decompose, "decompose_brute")
     for M in (three_gen_nonartinian(), five_gen_nongeneric()):
-        X = scarf_complex(M) if M.is_generic() else taylor_complex(M)
+        F = build_complex(scarf_complex(M) if M.is_generic() else taylor_complex(M), M)
         calls.clear()
-        report = duality_check(build_complex(X, M))
-        assert calls == [M]
-        assert set(report.current.components) == set(decompose_brute(M).components)
+        report = duality_check(F)
+        assert calls == [(M,)]
+        dec = decompose_brute(M)
+        calls.clear()
+        given = duality_check(F, dec)
+        assert calls == []
+        assert given == report
+        assert set(report.current.components) == set(dec.components)
+
+
+def test_residue_refuses_a_decomposition_of_another_ideal():
+    M, other = three_gen_nonartinian(), five_gen_nongeneric()
+    F = build_complex(scarf_complex(M), M)
+    for dec in (decompose_brute(other), decompose_brute(mk(M.nvars, *(g.exps for g in M.gens[1:])))):
+        with pytest.raises(PreconditionError):
+            residue_current(F, dec)
+        with pytest.raises(PreconditionError):
+            duality_check(F, dec)
