@@ -16,12 +16,24 @@ two boundary steps cancel.  Degree restrictions are filters of a built
 complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
 every vertex label does.
 
-Homology is computed by coreductions (Mrozek and Batko, 2009): a cell
-with exactly one boundary cell left is removed with that cell, and
-exact rank (``cellres.rank``) runs only on the cells left.
-``FaceIndex`` does this on a restriction given as a set of face ids,
-picked by per-variable bitmasks, so the exactness test over the lcm
-lattice builds no complex per lattice point.
+The exactness test decides each degree restriction in three stages, each
+on what the last one left; homology alone runs the last two.  First, on
+a simplicial complex, strong collapses (Barmak and Minian, "Strong
+homotopy types, nerves and collapses", Discrete Comput. Geom. 47, 2012)
+run on per-vertex star bitmasks: a cone is acyclic, and a vertex v is
+deleted when every face through v extends by one other vertex w (v is
+dominated by w), which keeps the homotopy type.  Both tests are
+popcounts, by one lemma: in a complex closed under subsets, F -> F - {v}
+maps the faces that contain v injectively to those that do not, so the
+faces containing v are at most half of all faces, exactly half iff the
+complex is a cone on v; inside the star of v the same count decides
+whether v is dominated.  A complex with a cell that is no simplex, as
+polyhedral input may have, skips this stage.  Second, coreductions
+(Mrozek and Batko, 2009): a cell with exactly one boundary cell left is
+removed with that cell.  Third, exact rank (``cellres.rank``) runs only
+on the cells left.  ``FaceIndex`` does this on a restriction given as a
+bitmask of face ids, picked by per-variable bitmasks, so the exactness
+test over the lcm lattice builds no complex per lattice point.
 """
 
 from __future__ import annotations
@@ -280,6 +292,25 @@ class FaceIndex:
     label exponent there with the bitmask of the faces whose exponent is
     at most it, so the restriction is n bisections and big-integer ANDs.
 
+    ``core(b)`` decides the same restriction in three stages.  First, when
+    X is simplicial (every face of dimension d has d+1 vertices and no two
+    faces share a vertex set, as for Taylor, Scarf and JSON-facet
+    complexes), strong collapses (Barmak and Minian, 2012) run on the
+    restriction's mask with one star bitmask per vertex, the faces that
+    contain it.  A complex closed under subsets maps the faces that
+    contain v injectively to those that do not, by F -> F - {v}: so
+    2 |m & star(v)| <= |m|, with equality exactly when m is a cone on v,
+    which is acyclic.  Inside the star, 2 |m & star(v) & star(w)| <=
+    |m & star(v)|, with equality exactly when every face of m containing
+    v extends by w: v is dominated by w, and deleting v (m &= ~star(v))
+    is a strong collapse, which keeps the homotopy type.  When one vertex
+    or none is left, or a cone is found, the restriction is acyclic and
+    ``core`` gives None; otherwise it gives the ids of the core, where no
+    vertex is dominated.  A complex that is not simplicial, as polyhedral
+    input may be, skips this stage: its core is the whole restriction.
+    Polyhedral input that is simplicial is a simplicial complex: its
+    validated boundaries make every cell's boundary all of its facets.
+
     ``reduced_ranks(ids)`` gives the reduced homology of the subcomplex
     on a set of face ids closed under boundaries.  It first removes
     coreduction pairs (a, b): b has a as its only live boundary face (the
@@ -290,7 +321,7 @@ class FaceIndex:
     only by losing a or b.  Exact rank then runs on the cells left.
     """
 
-    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_tables", "_all")
+    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_tables", "_all", "_stars")
 
     def __init__(self, X: LabeledComplex):
         faces = X.faces
@@ -314,14 +345,54 @@ class FaceIndex:
                 values.append(x)
                 masks.append(int(bits, 2))
             self._tables.append((values, masks))
+        # (vertex face bit, star mask) per vertex, for simplicial X only
+        self._stars = None
+        if (all(len(f.vertices) == f.dim + 1 for f in faces)
+                and len({f.vertices for f in faces}) == n):
+            rows = {next(iter(f.vertices)): (f.id, bytearray(b"0" * n)) for f in X.grade(1)}
+            for f in faces:
+                for v in f.vertices:
+                    rows[v][1][n - 1 - f.id] = 49
+            self._stars = [(1 << i, int(row, 2)) for i, row in rows.values()]
 
-    def leq(self, b) -> list:
-        """Ids, ascending, of the faces whose label divides z^b."""
+    def _mask(self, b) -> int:
+        """Bitmask of the faces whose label divides z^b."""
         mask = self._all
         for (values, masks), x in zip(self._tables, b):
             k = bisect_right(values, x)
             mask &= masks[k - 1] if k else 0
+        return mask
+
+    @staticmethod
+    def _ids(mask) -> list:
         return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
+
+    def leq(self, b) -> list:
+        """Ids, ascending, of the faces whose label divides z^b."""
+        return self._ids(self._mask(b))
+
+    def core(self, b):
+        """None if the restriction below z^b is decided acyclic by strong
+        collapses, else the ids, ascending, of the core they leave, which
+        has the restriction's reduced homology (see the class docstring)."""
+        mask = self._mask(b)
+        if self._stars is None:
+            return self._ids(mask)
+        live = [star for bit, star in self._stars if mask & bit]
+        while len(live) > 1:
+            local = [mask & star for star in live]
+            counts = [m.bit_count() for m in local]
+            if 2 * max(counts) == mask.bit_count():
+                return None  # a cone
+            # v never dominates itself: 2c != c for c >= 1
+            for i, (m, c) in enumerate(zip(local, counts)):
+                if any(2 * (m & other).bit_count() == c for other in local):
+                    mask ^= m
+                    del live[i]
+                    break
+            else:
+                return self._ids(mask)
+        return None
 
     def reduced_ranks(self, ids) -> list:
         """Reduced homology ranks, k = -1 .. dim X, of the subcomplex on

@@ -47,10 +47,8 @@ class Decomposition:
     method: str
 
     def intersection(self) -> MonomialIdeal:
-        acc = unit_ideal(self.ideal.nvars)
-        for c in self.components:
-            acc = acc.intersect(c.as_ideal())
-        return acc
+        return unit_ideal(self.ideal.nvars).intersect_irreducibles(
+            c.exponent.exps for c in self.components)
 
     def is_irredundant(self) -> bool:
         """True iff the components intersect to the ideal and none of them
@@ -211,12 +209,9 @@ def primary_grouping(dec: Decomposition):
     groups = {}
     for c in dec.components:
         groups.setdefault(frozenset(c.support), []).append(c)
-    out = {}
-    for K in sorted(groups, key=prime_key):
-        acc = unit_ideal(dec.ideal.nvars)
-        for c in groups[K]:
-            acc = acc.intersect(c.as_ideal())
-        out[K] = acc
+    out = {K: unit_ideal(dec.ideal.nvars).intersect_irreducibles(
+               c.exponent.exps for c in groups[K])
+           for K in sorted(groups, key=prime_key)}
     acc = unit_ideal(dec.ideal.nvars)
     for ideal in out.values():
         acc = acc.intersect(ideal)

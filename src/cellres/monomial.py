@@ -189,6 +189,41 @@ class MonomialIdeal:
         pairwise = {tuple(map(max, g.exps, h.exps)) for g in self.gens for h in other.gens}
         return MonomialIdeal._trusted(self.nvars, _minimal_exps(pairwise))
 
+    def intersect_irreducibles(self, exponents) -> MonomialIdeal:
+        """Intersection with the irreducible ideals m^b, for the exponent
+        tuples b in ``exponents``, folded on exponent tuples.
+
+        m^b is generated by the z_i^(b_i) for i in S = supp(b), so the
+        intersection is generated by the lcms of each running generator g
+        with them.  When g_i >= b_i for some i in S, g lies in m^b, divides
+        its own lcms and stays, minimal.  Any other g gives its raises: g
+        with g_i set to b_i, one per i in S.  A raise h of g is a minimal
+        generator iff g is the only running generator dividing it.  If
+        another one, g', does, then either g' lies in m^b and divides h
+        strictly, or the raise of g' at i divides h, strictly: were the two
+        equal, g and g' would differ only at i, both below b_i there, and
+        be comparable.  If none does, every generator of the intersection
+        dividing h is divided by g, so it is a raise of g (g is not in
+        m^b), and a raise of g at another variable does not divide h.  The
+        zero vector stands for the zero ideal: the intersection with it
+        has no generator.
+        """
+        gens = [g.exps for g in self.gens]
+        for b in exponents:
+            if len(b) != self.nvars:
+                raise DimensionMismatch(f"{len(b)} variables vs {self.nvars}")
+            support = [(i, v) for i, v in enumerate(b) if v]
+            kept, raised = [], []
+            for g in gens:
+                if any(g[i] >= v for i, v in support):
+                    kept.append(g)
+                else:
+                    raised += (g[:i] + (v,) + g[i + 1:] for i, v in support)
+            kept += (h for h in raised if sum(all(map(le, g, h)) for g in gens) == 1)
+            gens = kept
+        gens.sort()
+        return MonomialIdeal._trusted(self.nvars, gens)
+
     def max_degrees(self) -> tuple:
         """Componentwise maximum exponent over all generators."""
         self.require_nonzero()

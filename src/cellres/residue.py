@@ -183,9 +183,8 @@ def annihilator_bounds(current: ResidueCurrent):
     distinct annihilator is intersected once, and lower extends upper.
     """
     def meet(ideal, entries):
-        for ann in dict.fromkeys(e.annihilator for e in entries):
-            ideal = ideal.intersect(ann.as_ideal())
-        return ideal
+        return ideal.intersect_irreducibles(
+            dict.fromkeys(e.annihilator.exponent.exps for e in entries))
 
     upper = meet(unit_ideal(current.resolution.ideal.nvars), current.with_status(NONZERO))
     lower = meet(upper, current.with_status(UNKNOWN))

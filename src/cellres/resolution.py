@@ -87,12 +87,14 @@ def verify_chain(maps) -> bool:
 def is_resolution(X: LabeledComplex) -> bool:
     """Exactness criterion: every degree restriction of X is acyclic.
 
-    Each restriction is a set of X's face ids, reduced in place; no
-    complex is built per lattice point.
+    Each restriction is decided from its mask of X's face ids: strong
+    collapses on star bitmasks first, then coreductions and exact rank on
+    the core they leave (see ``FaceIndex``); no complex is built per
+    lattice point.
     """
     points = lcm_lattice(X)  # refuses past the cap before X is indexed
     index = FaceIndex(X)
-    return all(index.is_acyclic(index.leq(beta)) for beta in points)
+    return all(core is None or index.is_acyclic(core) for core in map(index.core, points))
 
 
 def is_minimal(X: LabeledComplex) -> bool:

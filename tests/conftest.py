@@ -158,7 +158,8 @@ def chain_maps(F):
 def count_calls(monkeypatch, module, name):
     """Replace module.name in every cellres module that holds it with a
     wrapper that records each call's positional arguments; returns the
-    list of records."""
+    list of records.  When ``module`` is a class, the method is replaced
+    on it, and each record starts with the instance."""
     original = getattr(module, name)
     calls = []
 
@@ -166,6 +167,9 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(module, type):
+        monkeypatch.setattr(module, name, counting)
+        return calls
     for key, held in list(sys.modules.items()):
         if key.startswith("cellres") and getattr(held, name, None) is original:
             monkeypatch.setattr(held, name, counting)

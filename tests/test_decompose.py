@@ -14,12 +14,13 @@ from cellres.decompose import (
 )
 from cellres.errors import (
     CapExceededError,
+    DimensionMismatch,
     NotArtinianError,
     NotGenericError,
     NotMinimalError,
     VerificationError,
 )
-from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal
+from cellres.monomial import IrreducibleIdeal, Monomial, MonomialIdeal, unit_ideal
 from cellres.resolution import build_complex
 from cellres.scarf import scarf_complex
 from conftest import (
@@ -348,3 +349,37 @@ def test_intersect_matches_pairwise_lcm_oracle():
             naive_meet(n, [raw])
     zero = MonomialIdeal(2, ())
     assert mk(2, (1, 0)).intersect(zero).is_zero() and zero.intersect(zero).is_zero()
+
+
+def intersect_fold(ideal, exponents):
+    """Oracle: one ``MonomialIdeal.intersect`` per irreducible component."""
+    for b in exponents:
+        ideal = ideal.intersect(IrreducibleIdeal(b).as_ideal())
+    return ideal
+
+
+def test_intersect_irreducibles_matches_the_intersect_fold():
+    rng = random.Random(359)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        start = unit_ideal(n) if rng.random() < 0.3 else random_ideal(rng, n, rng.randint(1, 6), 4)
+        # zero vectors (the zero ideal) and repeats turn up among these
+        comps = [tuple(rng.randint(0, 4) * (rng.random() < 0.6) for _ in range(n))
+                 for _ in range(rng.randint(0, 5))]
+        cases.append((start, comps))
+    # whole decompositions, from the unit ideal: non-Artinian, non-generic and n = 5 among them
+    for M in oracle_family(359, 40) + wide_oracle_family(359, 4):
+        cases.append((unit_ideal(M.nvars), exps(decompose_brute(M))))
+    cases.append((unit_ideal(3), []))
+    cases.append((MonomialIdeal(2, ()), [(1, 2)]))
+    assert any(not any(b) for _, comps in cases for b in comps)
+    assert any(start.nvars == 5 for start, _ in cases)
+    for start, comps in cases:
+        assert start.intersect_irreducibles(comps) == intersect_fold(start, comps), (start, comps)
+    M = three_gen_nonartinian()
+    assert unit_ideal(2).intersect_irreducibles(exps(decompose_brute(M))) == M
+    assert mk(2, (1, 0)).intersect_irreducibles([(0, 0)]).is_zero()
+    assert unit_ideal(2).intersect_irreducibles([]).is_unit()
+    with pytest.raises(DimensionMismatch):
+        unit_ideal(2).intersect_irreducibles([(1, 2, 3)])

@@ -50,10 +50,6 @@ def bareiss_ranks(X):
     return [len(X.grade(k)) - ranks[k] - ranks[k + 1] for k in range(X.num_grades)]
 
 
-def bareiss_acyclic(X):
-    return X.dim < 0 or not any(bareiss_ranks(X))
-
-
 def padded(ranks, length):
     return ranks + [0] * (length - len(ranks))
 
@@ -61,7 +57,9 @@ def padded(ranks, length):
 def assert_restrictions_match(X):
     """Every lcm-lattice restriction of X: rebuilt and reduced, selected by
     mask and reduced, and ranked whole by the oracle, agree; so does
-    is_resolution.  Returns how many restrictions have homology."""
+    is_resolution.  A restriction the strong collapses decide is acyclic,
+    and the core they leave has the restriction's reduced ranks.  Returns
+    how many restrictions have homology."""
     index = FaceIndex(X)
     with_homology = 0
     exact = True
@@ -69,8 +67,15 @@ def assert_restrictions_match(X):
         R = restrict_leq(X, Monomial(beta))
         want = bareiss_ranks(R)
         assert reduced_homology_ranks(R) == want
+        acyclic = R.dim < 0 or not any(want)
         ids = index.leq(beta)
-        assert index.is_acyclic(ids) == bareiss_acyclic(R)
+        assert index.is_acyclic(ids) == acyclic
+        core = index.core(beta)
+        if core is None:
+            assert acyclic
+        else:
+            assert set(core) <= set(ids)
+            assert index.reduced_ranks(core) == padded(want, X.num_grades)
         if R.dim >= 0:
             assert index.reduced_ranks(ids) == padded(want, X.num_grades)
             with_homology += any(want)
@@ -105,11 +110,19 @@ def test_reduction_matches_bareiss_on_polyhedral_complexes():
     hull = polyhedral_from_incidence(M.gens, hull_specs())
     assert is_resolution(hull)
     assert assert_restrictions_match(hull) == 0
-    # without its two 2-cells the hull is a graph with two independent cycles
+    # a quadrilateral is no simplex: no collapse runs, the core is the whole restriction
+    index = FaceIndex(hull)
+    assert all(index.core(beta) == index.leq(beta) for beta in lcm_lattice(hull))
+    # without its two 2-cells the hull is a graph with two independent cycles;
+    # every edge has two vertices, no two alike, so it is simplicial and collapses run
     graph = polyhedral_from_incidence(M.gens, [s for s in hull_specs() if s["dim"] < 2])
     assert reduced_homology_ranks(graph) == bareiss_ranks(graph) == [0, 0, 2]
     assert not is_resolution(graph)
     assert assert_restrictions_match(graph) > 0
+    index = FaceIndex(graph)
+    # a path of two edges or more (empty face, 3 vertices, 2 edges) collapses to a point
+    assert any(index.core(beta) is None and len(index.leq(beta)) >= 6
+               for beta in lcm_lattice(graph))
 
 
 def test_reduction_matches_bareiss_on_taylor_and_scarf_restrictions():
@@ -135,16 +148,22 @@ def test_non_unit_incidence_is_refused():
 
 
 def test_taylor_exactness_makes_no_rank_call(monkeypatch):
-    # every restriction of a Taylor complex is a simplex, and every one of
-    # the g4-class Scarf complex is acyclic; coreductions reduce them all
-    # to nothing, where pairing collapses too stranded cells of the latter
+    # every restriction of a Taylor complex is a simplex, a cone the strong
+    # collapses decide; every one of the g4-class Scarf complex is acyclic,
+    # and coreductions reduce the cores the collapses leave to nothing,
+    # where pairing collapses too stranded cells
     calls = count_calls(monkeypatch, cellres.complexes, "matrix_rank")
+    cores = count_calls(monkeypatch, FaceIndex, "reduced_ranks")
     rng = random.Random(67)
     for r in (10, 11, 12):
         M = random_antichain(rng, 3, r)
         assert M.num_gens == r
         assert is_resolution(taylor_complex(M))
-    assert is_resolution(scarf_complex(g_class(4, 13, 60, 5)))
+    assert cores == []
+    X = scarf_complex(g_class(4, 13, 60, 5))
+    assert is_resolution(X)
+    # 203 of the 1,937 lattice points reach coreduction
+    assert 0 < 4 * len(cores) < len(lcm_lattice(X)) == 1937
     assert calls == []
 
 
