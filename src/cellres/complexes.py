@@ -14,7 +14,8 @@ is checked.  Polyhedral input supplies the full signed face lattice,
 validated once at the door: boundaries drop exactly one dimension and
 two boundary steps cancel.  Degree restrictions are filters of a built
 complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
-every vertex label does.
+every vertex label does.  A complex is simplicial when every face of
+dimension d has d+1 vertices and no two faces share a vertex set.
 
 The exactness test decides each degree restriction in three stages, each
 on what the last one left; homology alone runs the last two.  First, on
@@ -27,22 +28,22 @@ popcounts, by one lemma: in a complex closed under subsets, F -> F - {v}
 maps the faces that contain v injectively to those that do not, so the
 faces containing v are at most half of all faces, exactly half iff the
 complex is a cone on v; inside the star of v the same count decides
-whether v is dominated.  A complex with a cell that is no simplex, as
-polyhedral input may have, skips this stage.  Second, coreductions
-(Mrozek and Batko, 2009): a cell with exactly one boundary cell left is
-removed with that cell.  Third, exact rank (``cellres.rank``) runs only
-on the cells left.  ``FaceIndex`` does this on a restriction given as a
-bitmask of face ids, picked by per-variable bitmasks, so the exactness
-test over the lcm lattice builds no complex per lattice point.
+whether v is dominated.  A complex that is not simplicial, as polyhedral
+input may be, skips this stage.  Second, coreductions (Mrozek and Batko,
+2009): a cell with exactly one boundary cell left is removed with that
+cell.  Third, exact rank (``cellres.rank``) runs only on the cells left.
+``FaceIndex`` does this on a restriction given as a bitmask of face ids,
+selected by vertex stars: all faces but the stars of the vertices whose
+labels do not divide z^b.  So the exactness test over the lcm lattice
+builds no complex per lattice point.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from operator import le
 
 from cellres.errors import (
@@ -122,6 +123,12 @@ class LabeledComplex:
         """Maximal nonempty faces: those in no face's boundary."""
         bounded = {i for f in self.faces for i, _ in f.boundary}
         return tuple(f for f in self.faces if f.dim >= 0 and f.id not in bounded)
+
+    def is_simplicial(self) -> bool:
+        """Every face of dimension d has d+1 vertices and no two faces
+        share a vertex set, as for Taylor, Scarf and JSON-facet complexes."""
+        return (all(len(f.vertices) == f.dim + 1 for f in self.faces)
+                and len({f.vertices for f in self.faces}) == len(self.faces))
 
     def __repr__(self):
         counts = [len(self.grade(k)) for k in range(self.num_grades)]
@@ -287,20 +294,19 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
 class FaceIndex:
     """The faces of X indexed for degree restriction and for homology.
 
+    Each vertex has one star bitmask, the faces that contain it.
     ``leq(b)`` gives the face ids of X restricted below z^b without
-    building a complex: for each variable, a sorted table holds every
-    label exponent there with the bitmask of the faces whose exponent is
-    at most it, so the restriction is n bisections and big-integer ANDs.
+    building a complex: a face label is the lcm of its vertex labels, so
+    it divides z^b iff the face lies in no star of a vertex whose label
+    does not, and the restriction is all faces but those stars.
 
     ``core(b)`` decides the same restriction in three stages.  First, when
-    X is simplicial (every face of dimension d has d+1 vertices and no two
-    faces share a vertex set, as for Taylor, Scarf and JSON-facet
-    complexes), strong collapses (Barmak and Minian, 2012) run on the
-    restriction's mask with one star bitmask per vertex, the faces that
-    contain it.  A complex closed under subsets maps the faces that
-    contain v injectively to those that do not, by F -> F - {v}: so
-    2 |m & star(v)| <= |m|, with equality exactly when m is a cone on v,
-    which is acyclic.  Inside the star, 2 |m & star(v) & star(w)| <=
+    ``X.is_simplicial()``, strong collapses (Barmak and Minian, 2012) run
+    on the restriction's mask m and the stars of its vertices.  A complex
+    closed under subsets maps the faces that contain v injectively to
+    those that do not, by F -> F - {v}: so 2 |m & star(v)| <= |m|, with
+    equality exactly when m is a cone on v, which is acyclic.  Inside the
+    star, 2 |m & star(v) & star(w)| <=
     |m & star(v)|, with equality exactly when every face of m containing
     v extends by w: v is dominated by w, and deleting v (m &= ~star(v))
     is a strong collapse, which keeps the homotopy type.  When one vertex
@@ -321,7 +327,7 @@ class FaceIndex:
     only by losing a or b.  Exact rank then runs on the cells left.
     """
 
-    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_tables", "_all", "_stars")
+    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_all", "_stars", "_simplicial")
 
     def __init__(self, X: LabeledComplex):
         faces = X.faces
@@ -334,34 +340,25 @@ class FaceIndex:
                 self._cob[i].append((f.id, sign))
         self._num_grades = X.num_grades
         self._all = (1 << n) - 1
-        self._tables = []
-        for v in range(X.nvars):
-            col = [f.label[v] for f in faces]
-            bits = bytearray(b"0" * n)  # a binary numeral: face i is character n-1-i
-            values, masks = [], []
-            for x, group in groupby(sorted(range(n), key=col.__getitem__), col.__getitem__):
-                for i in group:
-                    bits[n - 1 - i] = 49  # "1"
-                values.append(x)
-                masks.append(int(bits, 2))
-            self._tables.append((values, masks))
-        # (vertex face bit, star mask) per vertex, for simplicial X only
-        self._stars = None
-        if (all(len(f.vertices) == f.dim + 1 for f in faces)
-                and len({f.vertices for f in faces}) == n):
-            rows = {next(iter(f.vertices)): (f.id, bytearray(b"0" * n)) for f in X.grade(1)}
-            for f in faces:
-                for v in f.vertices:
-                    rows[v][1][n - 1 - f.id] = 49
-            self._stars = [(1 << i, int(row, 2)) for i, row in rows.values()]
+        # (vertex label, star mask) per vertex, in vertex order; each row is a
+        # binary numeral where face i is character n-1-i
+        rows = {next(iter(f.vertices)): bytearray(b"0" * n) for f in X.grade(1)}
+        for f in faces:
+            for v in f.vertices:
+                rows[v][n - 1 - f.id] = 49  # "1"
+        self._stars = [(X.labels[v], int(row, 2)) for v, row in rows.items()]
+        self._simplicial = X.is_simplicial()
 
-    def _mask(self, b) -> int:
-        """Bitmask of the faces whose label divides z^b."""
-        mask = self._all
-        for (values, masks), x in zip(self._tables, b):
-            k = bisect_right(values, x)
-            mask &= masks[k - 1] if k else 0
-        return mask
+    def _select(self, b):
+        """Bitmask of the faces whose label divides z^b, and the stars of
+        the vertices whose label does."""
+        dropped, live = 0, []
+        for label, star in self._stars:
+            if all(map(le, label, b)):
+                live.append(star)
+            else:
+                dropped |= star
+        return self._all ^ dropped, live
 
     @staticmethod
     def _ids(mask) -> list:
@@ -369,16 +366,15 @@ class FaceIndex:
 
     def leq(self, b) -> list:
         """Ids, ascending, of the faces whose label divides z^b."""
-        return self._ids(self._mask(b))
+        return self._ids(self._select(b)[0])
 
     def core(self, b):
         """None if the restriction below z^b is decided acyclic by strong
         collapses, else the ids, ascending, of the core they leave, which
         has the restriction's reduced homology (see the class docstring)."""
-        mask = self._mask(b)
-        if self._stars is None:
+        mask, live = self._select(b)
+        if not self._simplicial:
             return self._ids(mask)
-        live = [star for bit, star in self._stars if mask & bit]
         while len(live) > 1:
             local = [mask & star for star in live]
             counts = [m.bit_count() for m in local]

@@ -52,7 +52,16 @@ class Decomposition:
 
     def is_irredundant(self) -> bool:
         """True iff the components intersect to the ideal and none of them
-        can be dropped.
+        can be dropped, that is iff ``verify`` passes."""
+        try:
+            self.verify()
+        except VerificationError:
+            return False
+        return True
+
+    def verify(self):
+        """Raise ``VerificationError`` unless the components intersect to
+        the ideal and none of them can be dropped.
 
         When the components C_j intersect to M, C_i can be dropped exactly
         when the intersection of the others lies in C_i.  An irreducible
@@ -62,21 +71,15 @@ class Decomposition:
         dropped iff it contains some other C_j, and the test is pairwise
         containment of exponent vectors, O(k^2 n), after one intersection.
         """
-        return self.intersection() == self.ideal and not self._has_nested_pair()
-
-    def _has_nested_pair(self) -> bool:
+        if self.intersection() != self.ideal:
+            raise VerificationError(f"{self.method}: components do not intersect to the ideal")
         # IrreducibleIdeal.contains on exponent tuples: m^outer holds m^inner
         # iff each inner_i is 0 or at least a positive outer_i, that is iff
         # inner >= outer componentwise once a 0 (no generator) reads as inf
         exps = [tuple(e or math.inf for e in c.exponent.exps) for c in self.components]
-        return any(i != j and all(map(ge, inner, outer))
-                   for i, outer in enumerate(exps)
-                   for j, inner in enumerate(exps))
-
-    def verify(self):
-        if self.intersection() != self.ideal:
-            raise VerificationError(f"{self.method}: components do not intersect to the ideal")
-        if self._has_nested_pair():
+        if any(i != j and all(map(ge, inner, outer))
+               for i, outer in enumerate(exps)
+               for j, inner in enumerate(exps)):
             raise VerificationError(f"{self.method}: decomposition is redundant")
 
 

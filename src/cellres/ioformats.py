@@ -255,7 +255,6 @@ def ideal_doc(M: MonomialIdeal, names) -> dict:
 
 
 def complex_doc(X: LabeledComplex, names) -> dict:
-    simplicial = all(len(f.vertices) == f.dim + 1 for f in X.faces if f.dim >= 0)
     faces = []
     for f in X.faces:
         if f.dim < 0:
@@ -276,7 +275,7 @@ def complex_doc(X: LabeledComplex, names) -> dict:
         "labels": [list(m) for m in X.labels],
         "vars": list(names),
         "dim": X.dim,
-        "is_simplicial": simplicial,
+        "is_simplicial": X.is_simplicial(),
         "faces": faces,
         "facet_ids": sorted(f.id for f in X.facets()),
     }

@@ -49,6 +49,18 @@ def hull_specs():
     ]
 
 
+def digon_specs():
+    """Two vertices joined by two edges: a circle whose edges share a
+    vertex set, so each cell is a simplex but the complex is not
+    simplicial."""
+    return [
+        {"id": "v0", "dim": 0, "vertex": 0},
+        {"id": "v1", "dim": 0, "vertex": 1},
+        {"id": "a", "dim": 1, "boundary": [["v0", -1], ["v1", 1]]},
+        {"id": "b", "dim": 1, "boundary": [["v0", -1], ["v1", 1]]},
+    ]
+
+
 def box_monomials(M, pad=1):
     """Every monomial with exponents up to the generator maxima plus pad."""
     bounds = [d + pad for d in M.max_degrees()]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellres.cli import _HANDLERS, _parser, main
-from cellres.complexes import polyhedral_from_incidence, taylor_complex
+from cellres.complexes import FaceIndex, lcm_lattice, polyhedral_from_incidence, taylor_complex
 from cellres.errors import ParseError
 from cellres.ioformats import (
     complex_doc,
@@ -31,6 +31,7 @@ from cellres.staircase import (
 )
 from conftest import (
     count_calls,
+    digon_specs,
     five_gen_nongeneric,
     g_class,
     generic_artinian_antichain,
@@ -130,14 +131,19 @@ def test_complex_doc_round_trip_simplicial():
     assert [f.label for f in back.faces] == [f.label for f in X.faces]
 
 
-def test_complex_doc_round_trip_polyhedral():
+@pytest.mark.parametrize("specs", [hull_specs, digon_specs], ids=["hull", "digon"])
+def test_complex_doc_round_trip_polyhedral(specs):
+    # the hull has a quadrilateral; the digon's two edges share a vertex set
     M = five_gen_nongeneric()
-    X = polyhedral_from_incidence(M.gens, hull_specs())
+    X = polyhedral_from_incidence(M.gens, specs())
     doc = complex_doc(X, "xyz")
-    assert not doc["is_simplicial"]
+    assert doc["is_simplicial"] is False
     back, _ = parse_complex(dumps(doc))
     assert {tuple(sorted(f.vertices)) for f in back.facets()} == \
            {tuple(sorted(f.vertices)) for f in X.facets()}
+    # not simplicial, so no collapse runs: each core is the whole restriction
+    index = FaceIndex(X)
+    assert all(index.core(b) == index.leq(b) for b in lcm_lattice(X))
 
 
 def test_parse_complex_facet_form():

@@ -26,6 +26,7 @@ from cellres.resolution import is_resolution
 from cellres.scarf import scarf_complex
 from conftest import (
     count_calls,
+    digon_specs,
     five_gen_nongeneric,
     g_class,
     hull_specs,
@@ -169,17 +170,28 @@ def test_taylor_exactness_makes_no_rank_call(monkeypatch):
 
 def test_mask_selection_equals_restrict_leq():
     rng = random.Random(71)
+
+    def check(X, degrees):
+        points = [Monomial(b) for b in lcm_lattice(X)]
+        # X restricted keeps every label: the points above it name absent vertices too
+        Y = restrict_leq(X, rng.choice(points))
+        box = [Monomial(tuple(rng.randint(0, d + 1) for d in degrees)) for _ in range(20)]
+        for Z in (X, Y):
+            index = FaceIndex(Z)
+            for beta in (*points, *box):
+                got = [Z.faces[i].vertices for i in index.leq(beta.exps)]
+                assert got == [f.vertices for f in restrict_leq(Z, beta).faces]
+
     for n, r in [(1, 3), (2, 4), (3, 6), (3, 8), (4, 7)]:
         M = random_ideal(rng, n, r, maxdeg=4)
         G = random_generic_ideal(rng, n, r, artinian=rng.random() < 0.5)
         for X in (taylor_complex(M), scarf_complex(M), scarf_complex(G)):
-            points = [Monomial(b) for b in lcm_lattice(X)]
-            # X restricted keeps every label: the points above it name absent vertices too
-            Y = restrict_leq(X, rng.choice(points))
-            box = [Monomial(tuple(rng.randint(0, d + 1) for d in M.max_degrees()))
-                   for _ in range(20)]
-            for Z in (X, Y):
-                index = FaceIndex(Z)
-                for beta in (*points, *box):
-                    got = [Z.faces[i].vertices for i in index.leq(beta.exps)]
-                    assert got == [f.vertices for f in restrict_leq(Z, beta).faces]
+            check(X, M.max_degrees())
+    # stars select exactly on polyhedral input too, simplicial (the graph) or not
+    M = five_gen_nongeneric()
+    hull = polyhedral_from_incidence(M.gens, hull_specs())
+    graph = polyhedral_from_incidence(M.gens, [s for s in hull_specs() if s["dim"] < 2])
+    digon = polyhedral_from_incidence(M.gens, digon_specs())
+    assert not hull.is_simplicial() and graph.is_simplicial() and not digon.is_simplicial()
+    for X in (hull, graph, digon):
+        check(X, M.max_degrees())

@@ -8,7 +8,8 @@ by ``ioformats.dumps`` alone: no module reaches ``json.dump``/``dumps``,
 whose indented output runs the pure-Python encoder (``json.loads`` is
 fine).  Cell labels are exponent tuples: the pipeline modules build no
 ``Monomial``, except ``complexes._labels``, which checks caller-supplied
-vertex labels once.
+vertex labels once.  Every imported name is read in its module or listed
+in its ``__all__``, so no import outlives the code that used it.
 """
 
 import ast
@@ -59,6 +60,21 @@ def _json_writers(tree):
     return found
 
 
+def _unused_imports(tree):
+    """Names a module imports (``from __future__`` aside) but neither
+    reads nor lists in ``__all__``."""
+    imported = [a.asname or a.name.partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names]
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
 def test_no_assert_statements():
     found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -84,6 +100,12 @@ def test_pipeline_builds_no_monomial():
     assert found == []
 
 
+def test_no_unused_imports():
+    found = [f"{name}:{imported}" for name, tree in _trees().items()
+             for imported in _unused_imports(tree)]
+    assert found == []
+
+
 def test_rules_detect_their_targets():
     tree = ast.parse("import functools\n"
                      "@functools.cache\ndef a(): pass\n"
@@ -102,3 +124,8 @@ def test_rules_detect_their_targets():
                          "    return Monomial(map(max, a, b)), Monomials(c), Monomial\n")
     assert sorted(_monomial_calls(builders, {"_labels"})) == [4, 5]
     assert sorted(_monomial_calls(builders, set())) == [2, 4, 5]
+    imports = ast.parse("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+                        "from bisect import bisect_right\nfrom itertools import chain, groupby\n"
+                        "from cellres.errors import ParseError\n__all__ = ['ParseError']\n"
+                        "def f(x):\n    groupby = None\n    return os.sep, chain(x)\n")
+    assert _unused_imports(imports) == ["regex", "bisect_right", "groupby"]
