@@ -8,13 +8,14 @@ faces in canonical (dim, sorted vertices) order, ids 0, 1, ...: each
 grade is one range of ids, and facets are found when asked for.
 Complexes are immutable once built.
 
-Simplicial complexes (Taylor, Scarf, JSON facets) are correct by
-construction, with orientation from the vertex order; only their input
-is checked.  Polyhedral input supplies the full signed face lattice,
-validated once at the door: boundaries drop exactly one dimension and
-two boundary steps cancel.  Degree restrictions are filters of a built
-complex, chosen by vertex set, not rebuilt: a face label divides z^b iff
-every vertex label does.  A complex is simplicial when every face of
+Simplicial complexes (Taylor, Scarf, JSON facets) are grown level by
+level by one builder, ``grow_simplicial``, correct by construction with
+orientation from the vertex order; only their input is checked.
+Polyhedral input supplies the full signed face lattice, validated once
+at the door: boundaries drop exactly one dimension and two boundary
+steps cancel.  Degree restrictions are filters of a built complex,
+chosen by vertex set, not rebuilt: a face label divides z^b iff every
+vertex label does.  A complex is simplicial when every face of
 dimension d has d+1 vertices and no two faces share a vertex set.
 
 The exactness test decides each degree restriction in three stages, each
@@ -43,8 +44,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from operator import le
+from functools import reduce
+from operator import and_, le
 
 from cellres.errors import (
     CapExceededError,
@@ -55,9 +56,9 @@ from cellres.errors import (
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.rank import matrix_rank
 
-# Taylor faces, Scarf faces and lcm-lattice points are counted as they are
-# enumerated, and an enumeration that passes this many is refused.  On v
-# vertices each count is at most 2^v, so 20 vertices always pass.
+# Taylor, Scarf and facet-input faces and lcm-lattice points are counted
+# as they are enumerated, and an enumeration that passes this many is
+# refused.  On v vertices each count is at most 2^v, so 20 always pass.
 ENUMERATION_CAP = 2 ** 20
 
 
@@ -144,41 +145,67 @@ def _labels(labels) -> tuple:
     return labels
 
 
-def simplicial_from_facets(labels, facets) -> LabeledComplex:
-    """Subset-closure of the given facets, correct by construction.
+def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
+    """The simplicial complex on the sorted ``vertices`` whose faces t, with
+    the lcm of their vertex labels as label, pass ``keep(t, label)``, which
+    must pass every nonempty subset of a face it passes.
 
-    Faces are numbered in canonical (dim, sorted vertices) order.  A
-    sorted simplex drops vertex j with sign (-1)^j, so two boundary steps
-    cancel; its label is max(label(face without last vertex), last vertex
-    label), that face coming earlier.  Only the input is checked.
+    Two k-faces sharing their first k-1 vertices join into a candidate,
+    dropped unless all its k-subsets are faces.  A lexicographic level
+    yields the next in lexicographic order, so ids are canonical as faces
+    are made, and a sorted simplex drops vertex j with sign (-1)^j.  The
+    faces so far, the empty one included, meet the cap after each level.
     """
-    closure = set()
-    # largest first, so a facet inside one already taken adds nothing
-    for vs in sorted({tuple(sorted(set(f))) for f in facets}, key=len, reverse=True):
-        if not vs:
-            raise InvalidComplexError("empty facet")
-        if vs not in closure:
-            closure.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
-    if not closure:
-        raise InvalidComplexError("no facets given")
-    labels = _labels(labels)
-
-    built = {(): 0}  # vertex tuple -> face id
     faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
-    for t in sorted(closure, key=lambda t: (len(t), t)):
-        if len(t) == 1:
-            if not 0 <= t[0] < len(labels):
-                raise InvalidComplexError(f"vertex index {t[0]} out of range")
-            label = labels[t[0]]
-            boundary = ((0, 1),)
-        else:
-            label = tuple(map(max, faces[built[t[:-1]]].label, labels[t[-1]]))
-            # dropping a later vertex gives an earlier face, so descending j sorts the ids
-            boundary = tuple((built[t[:j] + t[j + 1:]], -1 if j & 1 else 1)
-                             for j in reversed(range(len(t))))
-        built[t] = len(faces)
-        faces.append(Face(len(faces), frozenset(t), len(t) - 1, boundary, label))
+    faces += (Face(i, frozenset((v,)), 0, ((0, 1),), labels[v]) for i, v in enumerate(vertices, 1))
+    ids = {tuple(f.vertices): f.id for f in faces}  # vertex tuple -> face id
+    level = [((), list(vertices))]  # faces grouped by all but their last vertex
+    while level:
+        check_cap(len(faces), what)
+        k = len(level[0][0])
+        # dropping a later vertex gives an earlier face, so descending j sorts the ids
+        signs = [-1 if j & 1 else 1 for j in reversed(range(k + 2))]
+        grown = []
+        for prefix, lasts in level:
+            for x, a in enumerate(lasts):
+                face = prefix + (a,)
+                fid = ids[face]
+                kept = []
+                for b in lasts[x + 1:]:
+                    cand = face + (b,)
+                    # dropping b or a gives a joined face; the other drops must be faces too
+                    drops = [ids.get(cand[:j] + cand[j + 1:]) for j in reversed(range(k))]
+                    if None in drops:
+                        continue
+                    label = tuple(map(max, faces[fid].label, labels[b]))
+                    if keep(cand, label):
+                        boundary = tuple(zip((fid, ids[prefix + (b,)], *drops), signs))
+                        ids[cand] = len(faces)
+                        faces.append(Face(len(faces), frozenset(cand), k + 1, boundary, label))
+                        kept.append(b)
+                if kept:
+                    grown.append((face, kept))
+        level = grown
     return LabeledComplex(labels, tuple(faces))
+
+
+def simplicial_from_facets(labels, facets) -> LabeledComplex:
+    """Subset closure of the given facets: ``grow_simplicial`` keeps a face
+    iff some facet holds all its vertices.  Only the input is checked."""
+    facets = [set(f) for f in facets]
+    if not facets:
+        raise InvalidComplexError("no facets given")
+    if not all(facets):
+        raise InvalidComplexError("empty facet")
+    labels = _labels(labels)
+    holders = {}  # vertex -> bitmask of the facets that hold it
+    for i, facet in enumerate(facets):
+        holders.update((v, holders.get(v, 0) | 1 << i) for v in facet)
+    for v in sorted(holders):
+        if not 0 <= v < len(labels):
+            raise InvalidComplexError(f"vertex index {v} out of range")
+    return grow_simplicial(labels, sorted(holders),
+                           lambda t, label: reduce(and_, map(holders.__getitem__, t)), "faces")
 
 
 def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
@@ -262,7 +289,7 @@ def taylor_complex(M: MonomialIdeal) -> LabeledComplex:
     M.require_nonzero()
     r = M.num_gens
     check_cap(2 ** r, "Taylor faces")
-    return simplicial_from_facets(M.gens, [tuple(range(r))])
+    return grow_simplicial(_labels(M.gens), range(r), lambda t, label: True, "Taylor faces")
 
 
 def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from cellres.complexes import LabeledComplex, check_cap, simplicial_from_facets
+from cellres.complexes import LabeledComplex, grow_simplicial
 from cellres.errors import PreconditionError, VerificationError
 from cellres.monomial import IrreducibleIdeal, MonomialIdeal
 
@@ -28,47 +28,18 @@ def scarf_complex(M: MonomialIdeal) -> LabeledComplex:
     same lcm, then tau is inside sigma by (a), and any i in sigma minus
     tau has m_i | lcm(tau) | lcm(sigma minus i), which (b) forbids.
 
-    Scarf faces are closed under taking subsets, so they grow level by
-    level from the singletons (Scarf faces because the generators are
-    minimal).  Two k-faces sharing their first k-1 vertices join into a
-    candidate, kept only if all its k-subsets are faces and it passes
-    (a); its lcm is one join with a label stored for level k.  (b) then
-    holds already: sigma minus i is a Scarf face, so sigma, a different
-    subset, cannot share its lcm.  The work follows the number of faces,
-    not the 2^r subsets, and the faces kept (with the empty one) are
-    counted against the enumeration cap after each level.  Growth stops
-    at the first empty level, so the closure count and the dimension
-    bound n-1 (theorems for any M) stay checks for bugs.
+    Scarf faces are closed under subsets and hold the singletons, as the
+    generators are minimal, so ``grow_simplicial`` grows them, keeping the
+    candidates that pass (a).  (b) then holds already: every sigma minus i
+    is a Scarf face, so sigma, a different subset, cannot share its lcm.
+    The dimension bound n-1, a theorem for any M, stays a check for bugs.
     """
     M.require_nonzero()
     if M.is_unit():
         raise PreconditionError("the unit ideal has no Scarf complex")
-    exps = [g.exps for g in M.gens]
-
-    level = {(i,): e for i, e in enumerate(exps)}
-    kept = list(level)
-    while level:
-        check_cap(len(kept) + 1, "Scarf faces")
-        by_prefix = {}
-        for face in sorted(level):
-            by_prefix.setdefault(face[:-1], []).append(face[-1])
-        grown = {}
-        for prefix, lasts in by_prefix.items():
-            for x, a in enumerate(lasts):
-                for b in lasts[x + 1:]:
-                    cand = prefix + (a, b)
-                    # dropping a or b gives the two faces joined; the other drops must be faces too
-                    if any(cand[:j] + cand[j + 1:] not in level for j in range(len(prefix))):
-                        continue
-                    label = tuple(map(max, level[prefix + (a,)], exps[b]))
-                    if not any(all(map(le, e, label)) for j, e in enumerate(exps) if j not in cand):
-                        grown[cand] = label
-        kept.extend(grown)
-        level = grown
-
-    X = simplicial_from_facets(M.gens, kept)
-    if len(X.faces) != len(kept) + 1:
-        raise VerificationError(f"{len(kept)} Scarf faces not closed under subsets")
+    exps = tuple(g.exps for g in M.gens)
+    X = grow_simplicial(exps, range(len(exps)), lambda t, label: not any(
+        all(map(le, e, label)) for j, e in enumerate(exps) if j not in t), "Scarf faces")
     if X.dim > M.nvars - 1:
         raise VerificationError("Scarf complex dimension exceeds n-1")
     return X
@@ -129,9 +100,9 @@ class ScarfPair:
         return (tuple(sorted(self.K)), tuple(sorted(self.tau)), self.annihilator().exponent.exps)
 
 
-def scarf_pairs(M: MonomialIdeal, D: int | None = None):
-    """(K, tau) pairs for the facets of the ghosted Scarf complex."""
-    gh = star_ideal(M, D)
+def scarf_pairs(M: MonomialIdeal):
+    """(K, tau) pairs for the facets of the ghosted Scarf complex, default D."""
+    gh = star_ideal(M)
     return facet_pairs(gh, scarf_complex(gh.star))
 
 

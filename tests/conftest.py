@@ -7,6 +7,7 @@ import sys
 
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.resolution import differential
+from cellres.scarf import facet_pairs, scarf_complex, star_ideal
 
 
 def mk(nvars, *exps):
@@ -160,6 +161,13 @@ def generic_artinian_antichain(rng, n, r, degree=40):
     gens = [g.exps for g in random_antichain(rng, n, r, degree, generic=True).gens]
     gens += [tuple(degree + 1 + i if j == i else 0 for j in range(n)) for i in range(n)]
     return MonomialIdeal.from_generators(n, gens)
+
+
+def ghosted_pairs(M, D):
+    """The (K, tau) pairs of M ghosted with exponent D; ``scarf_pairs``
+    always ghosts with the default."""
+    gh = star_ideal(M, D)
+    return facet_pairs(gh, scarf_complex(gh.star))
 
 
 def chain_maps(F):

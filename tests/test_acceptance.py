@@ -28,6 +28,7 @@ from cellres.scarf import scarf_complex, scarf_pairs
 from conftest import (
     chain_maps,
     five_gen_nongeneric,
+    ghosted_pairs,
     hull_specs,
     random_generic_ideal,
     random_ideal,
@@ -185,16 +186,16 @@ def test_criterion_07_scarf_structure():
             ok = False
             break
         top = max(M.max_degrees())
-        first = {p.key() for p in scarf_pairs(M, D=top + 1)}
-        second = {p.key() for p in scarf_pairs(M, D=top + 5)}
+        first = {p.key() for p in ghosted_pairs(M, top + 1)}
+        second = {p.key() for p in ghosted_pairs(M, top + 5)}
         if first != second:
             ok = False
             break
     for _ in range(20):
         M = random_generic_ideal(rng, rng.randint(1, 3), rng.randint(1, 5))
         top = max(M.max_degrees())
-        if {p.key() for p in scarf_pairs(M, D=top + 1)} != \
-           {p.key() for p in scarf_pairs(M, D=top + 7)}:
+        if {p.key() for p in ghosted_pairs(M, top + 1)} != \
+           {p.key() for p in ghosted_pairs(M, top + 7)}:
             ok = False
             break
     _report(7, ok, "Scarf dimension bound, Artinian facet size, ghost-exponent invariance")

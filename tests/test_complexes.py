@@ -281,6 +281,9 @@ def test_simplicial_matches_validated_route_on_random_facets():
         lab = [Monomial(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(nv)]
         facets = [rng.sample(range(nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 4))]
         assert_same_complex(simplicial_from_facets(lab, facets), validated_simplicial(lab, facets))
+    # a facet may list a vertex twice
+    lab, facets = L3, [(2, 0, 2), (1, 1)]
+    assert_same_complex(simplicial_from_facets(lab, facets), validated_simplicial(lab, facets))
 
 
 def test_simplicial_matches_validated_route_on_taylor_and_scarf():
@@ -428,6 +431,16 @@ def test_taylor_cap():
     M = mk(2, *[(i + 1, 22 - i) for i in range(21)])
     with pytest.raises(CapExceededError, match="^2097152 Taylor faces exceeds the cap 1048576$"):
         taylor_complex(M)
+
+
+def test_facet_input_cap(monkeypatch):
+    # the faces of one 6-vertex facet are counted after each level, the
+    # empty face included: 7, 22, then 42 past the cap
+    lab = [Monomial(tuple(int(i == j) for j in range(6))) for i in range(6)]
+    assert len(simplicial_from_facets(lab, [range(6)]).faces) == 64
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 30)
+    with pytest.raises(CapExceededError, match="^42 faces exceeds the cap 30$"):
+        simplicial_from_facets(lab, [range(6)])
 
 
 def test_vertex_index_out_of_range():

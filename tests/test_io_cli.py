@@ -672,6 +672,18 @@ def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, kind, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_facet_input_past_the_cap(tmp_path, capsys, monkeypatch):
+    import cellres.complexes
+
+    # the faces of facet [0, 1, 2] are counted after each level: 4, then 7 past the cap
+    cx = _write(tmp_path, "c.json", json.dumps({"labels": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                                "facets": [[0, 1, 2]]}))
+    ideal = _write(tmp_path, "m.txt", "vars: x,y,z\nideal: x, y, z\n")
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 5)
+    assert main(["resolve", ideal, "--complex", cx]) == 4
+    assert capsys.readouterr().err == "error: 7 faces exceeds the cap 5\n"
+
+
 def test_cli_invalid_complex_stays_a_precondition_error(tmp_path, capsys):
     # well-formed JSON whose facet names a vertex without a label
     bad = _write(tmp_path, "bad.json", json.dumps({"labels": [[2, 0], [0, 2]], "facets": [[0, 5]]}))

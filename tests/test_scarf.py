@@ -9,6 +9,7 @@ from cellres.monomial import Monomial, MonomialIdeal
 from cellres.scarf import GhostedIdeal, scarf_complex, scarf_pairs, star_ideal
 from conftest import (
     five_gen_nongeneric,
+    ghosted_pairs,
     mk,
     random_antichain,
     random_generic_ideal,
@@ -184,7 +185,7 @@ def test_pairs_independent_of_ghost_exponent():
         M = random_generic_ideal(rng, rng.randint(1, 3), rng.randint(1, 5))
         base = {p.key() for p in scarf_pairs(M)}
         top = max(M.max_degrees())
-        assert {p.key() for p in scarf_pairs(M, D=top + 4)} == base
+        assert {p.key() for p in ghosted_pairs(M, top + 4)} == base
 
 
 def test_artinian_generic_facets_have_n_vertices():
@@ -225,21 +226,18 @@ def test_scarf_pairs_unknown_vertex_raises(monkeypatch):
         scarf_pairs(three_gen_nonartinian())
 
 
-def test_scarf_closure_check_is_a_verification_error(tmp_path, capsys, monkeypatch):
+def test_scarf_dimension_check_is_a_verification_error(tmp_path, capsys, monkeypatch):
     import cellres.scarf
     from cellres.cli import main
+    from cellres.complexes import taylor_complex
     from cellres.ioformats import ideal_text
 
-    real = cellres.scarf.simplicial_from_facets
-
-    def one_face_too_many(labels, facets):
-        # the edge {y^2, x^2} of (y^2, xy, x^2) shares its lcm with the triangle
-        return real(labels, [*facets, (0, 2)])
-
-    monkeypatch.setattr(cellres.scarf, "simplicial_from_facets", one_face_too_many)
-    with pytest.raises(VerificationError, match="not closed under subsets"):
+    # the Taylor triangle of (y^2, xy, x^2) has dimension 2, past n-1 = 1
+    monkeypatch.setattr(cellres.scarf, "grow_simplicial",
+                        lambda *args: taylor_complex(xy_square()))
+    with pytest.raises(VerificationError, match="dimension exceeds n-1"):
         scarf_complex(xy_square())
     path = tmp_path / "m.txt"
     path.write_text(ideal_text(xy_square()))
     assert main(["scarf", str(path)]) == 5
-    assert "not closed under subsets" in capsys.readouterr().err
+    assert "dimension exceeds n-1" in capsys.readouterr().err
