@@ -41,6 +41,14 @@ EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
 
+# each error kind's exit code and message prefix
+_REFUSALS = {
+    ParseError: (EXIT_PARSE, "error"),
+    PreconditionError: (EXIT_PRECONDITION, "error"),
+    CapExceededError: (EXIT_CAP, "error"),
+    VerificationError: (EXIT_INTERNAL, "internal verification failure"),
+}
+
 
 def _read_source(path):
     if path == "-":
@@ -87,8 +95,7 @@ def _complex_text(X, names, title):
     return lines
 
 
-def _cmd_check(args):
-    M, names = _load_ideal(args)
+def _cmd_check(args, M, names):
     doc = {
         "ideal": ioformats.ideal_doc(M, names),
         "artinian": M.is_artinian(),
@@ -109,8 +116,7 @@ def _yn(b):
     return "yes" if b else "no"
 
 
-def _cmd_scarf(args):
-    M, names = _load_ideal(args)
+def _cmd_scarf(args, M, names):
     if args.ghost_exponent is not None and not args.star:
         raise PreconditionError("--ghost-exponent needs --star")
     if args.star:
@@ -132,15 +138,13 @@ def _cmd_scarf(args):
     return doc, "\n".join(_complex_text(X, names, f"scarf complex of {ideal_str(M, names)}")) + "\n"
 
 
-def _cmd_taylor(args):
-    M, names = _load_ideal(args)
+def _cmd_taylor(args, M, names):
     X = taylor_complex(M)
     doc = {"complex": ioformats.complex_doc(X, names)}
     return doc, "\n".join(_complex_text(X, names, f"taylor complex of {ideal_str(M, names)}")) + "\n"
 
 
-def _cmd_resolve(args):
-    M, names = _load_ideal(args)
+def _cmd_resolve(args, M, names):
     F = _free_complex(args.complex, M)
     maps = [differential(F, k) for k in range(1, F.complex.num_grades)]
     chain_ok = verify_chain(maps)
@@ -167,8 +171,7 @@ def _cmd_resolve(args):
     return doc, "\n".join(lines) + "\n"
 
 
-def _cmd_decompose(args):
-    M, names = _load_ideal(args)
+def _cmd_decompose(args, M, names):
     if args.complex and args.method != "minimal":
         raise PreconditionError("--complex needs --method minimal")
     if args.method == "scarf":
@@ -190,8 +193,7 @@ def _cmd_decompose(args):
     return doc, text + "\n"
 
 
-def _cmd_ass(args):
-    M, names = _load_ideal(args)
+def _cmd_ass(args, M, names):
     primes = sorted(associated_primes(M), key=prime_key)
     doc = {"associated_primes": [sorted(K) for K in primes]}
     pretty = ["(" + ", ".join(names[i] for i in sorted(K)) + ")" for K in primes]
@@ -199,8 +201,7 @@ def _cmd_ass(args):
     return doc, "associated primes: " + ", ".join(pretty) + "\n"
 
 
-def _cmd_residue(args):
-    M, names = _load_ideal(args)
+def _cmd_residue(args, M, names):
     src = args.complex
     if src is None:  # the unit ideal has no Scarf complex
         src = "scarf" if M.is_generic() and not M.is_unit() else "taylor"
@@ -223,8 +224,7 @@ def _cmd_residue(args):
     return doc, "\n".join(lines) + "\n"
 
 
-def _cmd_staircase(args):
-    M, names = _load_ideal(args)
+def _cmd_staircase(args, M, names):
     if args.format == "svg":
         return None, svg_staircase(M, names)
     if args.format == "json":
@@ -235,8 +235,7 @@ def _cmd_staircase(args):
     return None, ascii_staircase(M, names)
 
 
-def _cmd_verify(args):
-    M, names = _load_ideal(args)
+def _cmd_verify(args, M, names):
     checks = []
 
     def run(name, fn):
@@ -360,19 +359,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        result = _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        M, names = _load_ideal(args)
+        result = _HANDLERS[args.command](args, M, names)
+    except tuple(_REFUSALS) as exc:
+        code, prefix = next(v for kind, v in _REFUSALS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
     doc, text = result[0], result[1]
     code = result[2] if len(result) > 2 else EXIT_OK

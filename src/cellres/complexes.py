@@ -42,7 +42,6 @@ builds no complex per lattice point.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, le
@@ -58,7 +57,9 @@ from cellres.rank import matrix_rank
 
 # Taylor, Scarf and facet-input faces and lcm-lattice points are counted
 # as they are enumerated, and an enumeration that passes this many is
-# refused.  On v vertices each count is at most 2^v, so 20 always pass.
+# refused.  Faces are counted as each one is made, so a refusal names the
+# cap plus one; the 2^r Taylor faces are refused before any is made.  On
+# v vertices each count is at most 2^v, so 20 always pass.
 ENUMERATION_CAP = 2 ** 20
 
 
@@ -153,15 +154,17 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
     Two k-faces sharing their first k-1 vertices join into a candidate,
     dropped unless all its k-subsets are faces.  A lexicographic level
     yields the next in lexicographic order, so ids are canonical as faces
-    are made, and a sorted simplex drops vertex j with sign (-1)^j.  The
-    faces so far, the empty one included, meet the cap after each level.
+    are made, and a sorted simplex drops vertex j with sign (-1)^j.  Faces
+    are counted, the empty one included, as each one is made, so a refusal
+    names the cap plus one.
     """
     faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
     faces += (Face(i, frozenset((v,)), 0, ((0, 1),), labels[v]) for i, v in enumerate(vertices, 1))
+    cap = ENUMERATION_CAP
+    check_cap(len(faces), what)
     ids = {tuple(f.vertices): f.id for f in faces}  # vertex tuple -> face id
     level = [((), list(vertices))]  # faces grouped by all but their last vertex
     while level:
-        check_cap(len(faces), what)
         k = len(level[0][0])
         # dropping a later vertex gives an earlier face, so descending j sorts the ids
         signs = [-1 if j & 1 else 1 for j in reversed(range(k + 2))]
@@ -182,6 +185,8 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
                         boundary = tuple(zip((fid, ids[prefix + (b,)], *drops), signs))
                         ids[cand] = len(faces)
                         faces.append(Face(len(faces), frozenset(cand), k + 1, boundary, label))
+                        if len(faces) > cap:
+                            check_cap(len(faces), what)
                         kept.append(b)
                 if kept:
                     grown.append((face, kept))
@@ -321,7 +326,8 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
 class FaceIndex:
     """The faces of X indexed for degree restriction and for homology.
 
-    Each vertex has one star bitmask, the faces that contain it.
+    The index holds X and one star bitmask per vertex, the faces that
+    contain it; each face's dimension and boundary are read off X.
     ``leq(b)`` gives the face ids of X restricted below z^b without
     building a complex: a face label is the lcm of its vertex labels, so
     it divides z^b iff the face lies in no star of a vertex whose label
@@ -345,27 +351,23 @@ class FaceIndex:
     validated boundaries make every cell's boundary all of its facets.
 
     ``reduced_ranks(ids)`` gives the reduced homology of the subcomplex
-    on a set of face ids closed under boundaries.  It first removes
-    coreduction pairs (a, b): b has a as its only live boundary face (the
-    coreduction homology algorithm of Mrozek and Batko, 2009).  By the
-    Gaussian-elimination lemma of reduction homology (Kaczynski, Mrozek
-    and Slusarek, 1998) such a pair with incidence +-1 can be removed
-    keeping every reduced homology rank, and the other boundaries change
-    only by losing a or b.  Exact rank then runs on the cells left.
+    on a set of face ids closed under boundaries.  It first gathers the
+    cofaces of those cells that lie among them, in id order, and removes
+    coreduction pairs (a, b), first in, first out: b has a as its only
+    live boundary face (the coreduction homology algorithm of Mrozek and
+    Batko, 2009).  By the Gaussian-elimination lemma of reduction
+    homology (Kaczynski, Mrozek and Slusarek, 1998) such a pair with
+    incidence +-1 can be removed keeping every reduced homology rank, and
+    the other boundaries change only by losing a or b.  Exact rank then
+    runs on the cells left.
     """
 
-    __slots__ = ("_dims", "_bd", "_cob", "_num_grades", "_all", "_stars", "_simplicial")
+    __slots__ = ("_X", "_all", "_stars", "_simplicial")
 
     def __init__(self, X: LabeledComplex):
         faces = X.faces
         n = len(faces)
-        self._dims = [f.dim for f in faces]
-        self._bd = [f.boundary for f in faces]
-        self._cob = [[] for _ in faces]
-        for f in faces:
-            for i, sign in f.boundary:
-                self._cob[i].append((f.id, sign))
-        self._num_grades = X.num_grades
+        self._X = X
         self._all = (1 << n) - 1
         # (vertex label, star mask) per vertex, in vertex order; each row is a
         # binary numeral where face i is character n-1-i
@@ -420,33 +422,34 @@ class FaceIndex:
     def reduced_ranks(self, ids) -> list:
         """Reduced homology ranks, k = -1 .. dim X, of the subcomplex on
         ``ids``, which must be closed under boundaries."""
-        bd, cob = self._bd, self._cob
+        faces = self._X.faces
         live = set(ids)
-        nbd = {i: len(bd[i]) for i in live}
-        # first in, first out.  With collapses paired too, last in, first
-        # out stranded cells of simplices of dimension 9 and up, which then
-        # went to rank; coreductions alone left no cell of a g5-class Scarf
-        # complex's restrictions in either order
-        todo = deque(i for i in sorted(live) if nbd[i] == 1)
-        while todo:
-            b = todo.popleft()
+        order = sorted(live)
+        nbd = {i: len(faces[i].boundary) for i in order}  # live boundary faces
+        cob = {i: [] for i in order}  # cofaces among ids, ascending
+        for i in order:
+            for j, _ in faces[i].boundary:
+                cob[j].append(i)
+        # first in, first out: the loop reaches the cells appended to it
+        todo = [i for i in order if nbd[i] == 1]
+        for b in todo:
             if b not in live or nbd[b] != 1:
                 continue
-            a, sign = next(p for p in bd[b] if p[0] in live)
+            a, sign = next(p for p in faces[b].boundary if p[0] in live)
             if sign != 1 and sign != -1:
                 raise VerificationError(f"faces {a} and {b}: incidence {sign} is not a unit")
             live.discard(a)
             live.discard(b)
             for c in (a, b):
-                for j, _ in cob[c]:
+                for j in cob[c]:
                     if j in live:
                         nbd[j] -= 1
                         if nbd[j] == 1:
                             todo.append(j)
 
-        grades = [[] for _ in range(self._num_grades)]
+        grades = [[] for _ in range(self._X.num_grades)]
         for i in sorted(live):
-            grades[self._dims[i] + 1].append(i)
+            grades[faces[i].dim + 1].append(i)
         ranks = [0]  # ranks[k]: rank of the boundary map from grade k to grade k-1
         for rows, cols in zip(grades, grades[1:]):
             rank = 0
@@ -454,7 +457,7 @@ class FaceIndex:
                 pos = {i: p for p, i in enumerate(rows)}
                 mat = [[0] * len(cols) for _ in rows]
                 for c, j in enumerate(cols):
-                    for i, sign in bd[j]:
+                    for i, sign in faces[j].boundary:
                         if i in pos:
                             mat[pos[i]][c] = sign
                 rank = matrix_rank(mat, len(cols))

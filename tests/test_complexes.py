@@ -434,13 +434,19 @@ def test_taylor_cap():
 
 
 def test_facet_input_cap(monkeypatch):
-    # the faces of one 6-vertex facet are counted after each level, the
-    # empty face included: 7, 22, then 42 past the cap
+    # the faces of one 6-vertex facet are counted as each is made, the
+    # empty face included: 7 through the vertices, 22 through the edges,
+    # and the 31st, a triangle, passes the cap
     lab = [Monomial(tuple(int(i == j) for j in range(6))) for i in range(6)]
     assert len(simplicial_from_facets(lab, [range(6)]).faces) == 64
     monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 30)
-    with pytest.raises(CapExceededError, match="^42 faces exceeds the cap 30$"):
+    with pytest.raises(CapExceededError, match="^31 faces exceeds the cap 30$"):
         simplicial_from_facets(lab, [range(6)])
+    # one level may be many times the cap: a 60-vertex facet has 1,831 faces
+    # through its edges and 34,220 triangles, and stops at the face past the cap
+    monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 1900)
+    with pytest.raises(CapExceededError, match="^1901 faces exceeds the cap 1900$"):
+        simplicial_from_facets([(i,) for i in range(60)], [range(60)])
 
 
 def test_vertex_index_out_of_range():

@@ -675,13 +675,14 @@ def test_cli_malformed_json_is_a_parse_error(tmp_path, capsys, kind, doc):
 def test_cli_facet_input_past_the_cap(tmp_path, capsys, monkeypatch):
     import cellres.complexes
 
-    # the faces of facet [0, 1, 2] are counted after each level: 4, then 7 past the cap
+    # the faces of facet [0, 1, 2] are counted as each is made: 4 through
+    # the vertices, then the second edge, the 6th face, passes the cap
     cx = _write(tmp_path, "c.json", json.dumps({"labels": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                                 "facets": [[0, 1, 2]]}))
     ideal = _write(tmp_path, "m.txt", "vars: x,y,z\nideal: x, y, z\n")
     monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 5)
     assert main(["resolve", ideal, "--complex", cx]) == 4
-    assert capsys.readouterr().err == "error: 7 faces exceeds the cap 5\n"
+    assert capsys.readouterr().err == "error: 6 faces exceeds the cap 5\n"
 
 
 def test_cli_invalid_complex_stays_a_precondition_error(tmp_path, capsys):
@@ -702,6 +703,13 @@ def test_cli_refuses_a_flag_it_would_ignore(tmp_path, capsys, argv, message):
     assert main([argv[0], path, *argv[1:]]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_cli_parses_the_ideal_before_checking_flags(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.txt", "vars: x\nideal: x^^2\n")
+    assert main(["scarf", bad, "--ghost-exponent", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: expected an integer exponent after '^' (line 2, column 10)\n")
 
 
 @pytest.mark.parametrize("argv", [

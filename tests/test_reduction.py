@@ -3,6 +3,7 @@ they replaced, which is kept here as the oracle, and the degree
 restriction by face masks against restrict_leq."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -30,6 +31,7 @@ from conftest import (
     five_gen_nongeneric,
     g_class,
     hull_specs,
+    mk,
     random_antichain,
     random_generic_ideal,
     random_ideal,
@@ -138,6 +140,21 @@ def test_reduction_matches_bareiss_on_taylor_and_scarf_restrictions():
         assert assert_restrictions_match(scarf_complex(G)) == 0
     # the Scarf complex of a non-generic ideal often misses a resolution
     assert with_homology > 0
+
+
+def test_reduced_ranks_of_the_skeleta_of_a_simplex():
+    # the Taylor complex of r generators is the (r-1)-simplex; its
+    # k-skeleton is closed under boundaries but no degree restriction, so
+    # its k-faces have cofaces outside it, and its reduced homology is
+    # C(r-1, k+1) in degree k alone: for r = 4 the 1-skeleton has ranks
+    # [0, 0, 3, 0, 0] and the 2-skeleton [0, 0, 0, 1, 0]
+    for r in range(2, 9):
+        X = taylor_complex(mk(2, *[(i, r - i) for i in range(r)]))
+        index = FaceIndex(X)
+        for k in range(-1, r):
+            want = [0] * X.num_grades
+            want[k + 1] = comb(r - 1, k + 1)
+            assert index.reduced_ranks([f.id for f in X.faces if f.dim <= k]) == want
 
 
 def test_non_unit_incidence_is_refused():

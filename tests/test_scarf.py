@@ -108,13 +108,14 @@ def test_scarf_dimension_bound():
 
 
 def test_scarf_cap(monkeypatch):
-    # the cap counts the faces kept, with the empty one, after each level:
-    # a 21-generator staircase keeps 21 vertices, then 20 edges
+    # the cap counts the faces kept, with the empty one, as each is made:
+    # a 21-generator staircase keeps 21 vertices, then its 9th edge is the
+    # 31st face
     gens = [(i + 1, 25 - i) for i in range(21)]
     M = mk(2, *gens)
     assert len(scarf_complex(M).faces) == 42
     monkeypatch.setattr(cellres.complexes, "ENUMERATION_CAP", 30)
-    with pytest.raises(CapExceededError, match="^42 Scarf faces exceeds the cap 30$"):
+    with pytest.raises(CapExceededError, match="^31 Scarf faces exceeds the cap 30$"):
         scarf_complex(M)
     # the ghosted complex is counted the same way
     with pytest.raises(CapExceededError, match="Scarf faces exceeds the cap 30$"):
