@@ -83,7 +83,7 @@ def _braced(items):
 
 
 def _faces_line(faces):
-    return " ".join(_braced(sorted(f.vertices)) for f in faces)
+    return " ".join(_braced(f.vertices) for f in faces)
 
 
 def _complex_text(X, names, title):

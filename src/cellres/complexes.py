@@ -1,12 +1,12 @@
 """Labeled cell complexes and their reduced rational homology.
 
 A complex carries one monomial label per vertex, held as its exponent
-tuple; every face is labeled by the lcm of its vertex labels.  Faces are
-graded so that grade k holds the faces of dimension k-1 (grade 0 is the
-empty face alone, grade 1 the vertices).  A complex is its tuple of
-faces in canonical (dim, sorted vertices) order, ids 0, 1, ...: each
-grade is one range of ids, and facets are found when asked for.
-Complexes are immutable once built.
+tuple.  A face holds its vertices as their sorted tuple, whose order
+orients a simplex, and the lcm of their labels as its label.  Grade k
+holds the faces of dimension k-1 (grade 0 is the empty face alone, grade
+1 the vertices).  A complex is its tuple of faces in canonical (dim,
+vertices) order, ids 0, 1, ...: each grade is one range of ids, and
+facets are found when asked for.  Complexes are immutable once built.
 
 Simplicial complexes (Taylor, Scarf, JSON facets) are grown level by
 level by one builder, ``grow_simplicial``, correct by construction with
@@ -70,17 +70,19 @@ def check_cap(count: int, what: str) -> None:
         raise CapExceededError(f"{count} {what} exceeds the cap {ENUMERATION_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
-    """One cell: canonical id, vertex set, dimension, signed boundary, label.
+    """One cell: canonical id, vertices, dimension, signed boundary, label.
 
-    ``label`` is the exponent tuple of the lcm of the vertex labels; the
-    empty face has dimension -1 and label 1, the zero tuple.
-    ``boundary`` lists (face id, sign) pairs one dimension down.
+    ``vertices`` is the sorted tuple of vertex indices, whose order orients
+    a simplex: dropping vertex j has sign (-1)^j.  ``label`` is the exponent
+    tuple of the lcm of their labels; the empty face has dimension -1 and
+    label 1, the zero tuple.  ``boundary`` lists (face id, sign) pairs one
+    dimension down.
     """
 
     id: int
-    vertices: frozenset
+    vertices: tuple
     dim: int
     boundary: tuple
     label: tuple
@@ -119,7 +121,7 @@ class LabeledComplex:
 
     def vertices(self):
         """Vertex indices present in the complex, sorted."""
-        return tuple(sorted(next(iter(f.vertices)) for f in self.grade(1)))
+        return tuple(f.vertices[0] for f in self.grade(1))
 
     def facets(self):
         """Maximal nonempty faces: those in no face's boundary."""
@@ -158,11 +160,11 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
     are counted, the empty one included, as each one is made, so a refusal
     names the cap plus one.
     """
-    faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
-    faces += (Face(i, frozenset((v,)), 0, ((0, 1),), labels[v]) for i, v in enumerate(vertices, 1))
+    faces = [Face(0, (), -1, (), (0,) * len(labels[0]) if labels else ())]
+    faces += (Face(i, (v,), 0, ((0, 1),), labels[v]) for i, v in enumerate(vertices, 1))
     cap = ENUMERATION_CAP
     check_cap(len(faces), what)
-    ids = {tuple(f.vertices): f.id for f in faces}  # vertex tuple -> face id
+    ids = {f.vertices: f.id for f in faces}  # vertex tuple -> face id
     level = [((), list(vertices))]  # faces grouped by all but their last vertex
     while level:
         k = len(level[0][0])
@@ -184,7 +186,7 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
                     if keep(cand, label):
                         boundary = tuple(zip((fid, ids[prefix + (b,)], *drops), signs))
                         ids[cand] = len(faces)
-                        faces.append(Face(len(faces), frozenset(cand), k + 1, boundary, label))
+                        faces.append(Face(len(faces), cand, k + 1, boundary, label))
                         if len(faces) > cap:
                             check_cap(len(faces), what)
                         kept.append(b)
@@ -245,7 +247,7 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
             if part in declared:
                 raise InvalidComplexError(f"vertex index {part} declared twice")
             declared.add(part)
-            vertices[key] = frozenset((part,))
+            vertices[key] = (part,)
             continue
         sub_verts = set()
         for sub, sign in part:
@@ -255,16 +257,16 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
                 raise InvalidComplexError(f"face {key!r}: non-graded boundary")
             if sign not in (1, -1):
                 raise InvalidComplexError(f"face {key!r}: sign must be +1 or -1")
-            sub_verts |= vertices[sub]
+            sub_verts.update(vertices[sub])
         if len({sub for sub, _ in part}) != len(part):
             raise InvalidComplexError(f"face {key!r}: repeated boundary face")
         if len(sub_verts) < dim + 1:
             raise InvalidComplexError(f"face {key!r}: dimension exceeds vertex count")
-        vertices[key] = frozenset(sub_verts)
+        vertices[key] = tuple(sorted(sub_verts))
 
-    order = sorted(specs, key=lambda k: (specs[k][0], sorted(vertices[k]), str(k)))
+    order = sorted(specs, key=lambda k: (specs[k][0], vertices[k], str(k)))
     ids = {key: i for i, key in enumerate(order, 1)}  # id 0 is the empty face
-    faces = [Face(0, frozenset(), -1, (), (0,) * len(labels[0]) if labels else ())]
+    faces = [Face(0, (), -1, (), (0,) * len(labels[0]) if labels else ())]
     for key in order:
         dim, part = specs[key]
         boundary = ((0, 1),) if dim == 0 else tuple(sorted((ids[b], s) for b, s in part))
@@ -315,7 +317,7 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
     ids = {}
     faces = []
     for f in X.faces:
-        if f.vertices <= allowed:
+        if allowed.issuperset(f.vertices):
             k = ids[f.id] = len(faces)
             if f.id != k:
                 f = Face(k, f.vertices, f.dim, tuple((ids[i], s) for i, s in f.boundary), f.label)
@@ -371,7 +373,7 @@ class FaceIndex:
         self._all = (1 << n) - 1
         # (vertex label, star mask) per vertex, in vertex order; each row is a
         # binary numeral where face i is character n-1-i
-        rows = {next(iter(f.vertices)): bytearray(b"0" * n) for f in X.grade(1)}
+        rows = {v: bytearray(b"0" * n) for v in X.vertices()}
         for f in faces:
             for v in f.vertices:
                 rows[v][n - 1 - f.id] = 49  # "1"

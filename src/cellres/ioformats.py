@@ -262,12 +262,12 @@ def complex_doc(X: LabeledComplex, names) -> dict:
         entry = {
             "id": f.id,
             "dim": f.dim,
-            "vertices": sorted(f.vertices),
+            "vertices": list(f.vertices),
             "label": list(f.label),
             "label_str": monomial_str(f.label, names),
         }
         if f.dim == 0:
-            entry["vertex"] = next(iter(f.vertices))
+            entry["vertex"] = f.vertices[0]
         else:
             entry["boundary"] = [[sid, sign] for sid, sign in f.boundary]
         faces.append(entry)
@@ -338,9 +338,9 @@ def pairs_doc(pairs, names) -> list:
         "K_vars": [names[i] for i in sorted(p.K)],
         "tau": sorted(p.tau),
         "label": list(p.label),
-        "annihilator": list(p.annihilator().exponent.exps),
-        "annihilator_str": irreducible_str(p.annihilator(), names),
-    } for p in pairs]
+        "annihilator": list(ann.exponent.exps),
+        "annihilator_str": irreducible_str(ann, names),
+    } for p in pairs for ann in (p.annihilator(),)]
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}

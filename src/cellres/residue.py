@@ -123,13 +123,8 @@ def residue_current(F: FreeComplex, dec: Decomposition | None = None) -> Residue
             if any(alpha[i] == 0 for i in K):
                 continue
             b = tuple(e if i in K else 0 for i, e in enumerate(alpha))
-            entries.append(ResidueEntry(
-                K=K,
-                face_id=face.id,
-                tau=face.vertices,
-                alpha=alpha,
-                annihilator=IrreducibleIdeal(b),
-            ))
+            entries.append(ResidueEntry(K=K, face_id=face.id, tau=frozenset(face.vertices),
+                                        alpha=alpha, annihilator=IrreducibleIdeal(b)))
     return ResidueCurrent(F, tuple(entries), components)
 
 
@@ -147,7 +142,7 @@ def classify(current: ResidueCurrent) -> ResidueCurrent:
         pair_keys = {(p.K, frozenset(vertex[M.gens[i].exps] for i in p.tau))
                      for p in scarf_pairs(M)}
     minimal = F.minimal and M.is_artinian()
-    facet_ids = {f.id for f in F.complex.facets()}
+    facet_ids = {f.id for f in F.complex.facets()} if minimal else ()
 
     tagged = []
     for e in current.entries:
@@ -160,14 +155,15 @@ def classify(current: ResidueCurrent) -> ResidueCurrent:
         else:
             tagged.append(e)
 
-    # duality forces the single surviving carrier of a component
+    # duality forces the single surviving carrier of a component; no entry
+    # turns zero here, so each annihilator's carriers are listed once
+    carriers = {}  # annihilator -> positions in tagged of its entries not zero
+    for i, e in enumerate(tagged):
+        if e.status != ZERO:
+            carriers.setdefault(e.annihilator, []).append(i)
     for comp in current.components:
-        carriers = [i for i, e in enumerate(tagged)
-                    if e.status != ZERO and e.annihilator == comp]
-        if len(carriers) == 1:
-            i = carriers[0]
-            if tagged[i].status != NONZERO:
-                tagged[i] = replace(tagged[i], status=NONZERO, rule=RULE_UNIQUE_CARRIER)
+        if len(ids := carriers.get(comp, ())) == 1 and tagged[ids[0]].status != NONZERO:
+            tagged[ids[0]] = replace(tagged[ids[0]], status=NONZERO, rule=RULE_UNIQUE_CARRIER)
 
     return replace(current, entries=tuple(tagged))
 

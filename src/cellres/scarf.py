@@ -122,7 +122,7 @@ def facet_pairs(gh: GhostedIdeal, delta: LabeledComplex):
             elif sum(e) == D and D in e:
                 K.discard(e.index(D))
             else:
-                raise VerificationError(f"facet {sorted(facet.vertices)} has a vertex that is "
+                raise VerificationError(f"facet {list(facet.vertices)} has a vertex that is "
                                         "neither a base generator nor a ghost")
         pairs.append(ScarfPair(frozenset(K), frozenset(tau), facet.label))
     pairs.sort(key=lambda p: (sorted(p.K), sorted(p.tau)))

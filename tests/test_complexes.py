@@ -20,6 +20,7 @@ from cellres.ioformats import parse_complex
 from cellres.monomial import Monomial
 from cellres.scarf import scarf_complex, star_ideal
 from conftest import (
+    digon_specs,
     five_gen_nongeneric,
     hull_specs,
     mk,
@@ -252,6 +253,31 @@ def test_restrict_matches_rebuild_on_polyhedral():
             {"v0", "v1", "v3", "v4", "e01", "e13", "e34", "e04", "Q"}]
     assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, quad))
     assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, hull_specs()))
+
+
+def test_every_builder_holds_sorted_vertex_tuples():
+    # a face's vertices are the increasing tuple that orders the ids and,
+    # on a simplex, signs the boundary: dropping vertex j gives (-1)^j
+    M, G = five_gen_nongeneric(), random_generic_ideal(random.Random(3), 3, 6, artinian=True)
+    facets = json.dumps({"labels": [list(g.exps) for g in M.gens],
+                         "facets": [[4, 3], [0, 4], [1, 0], [3, 2, 1]]})
+    taylor = taylor_complex(M)
+    simplicial = [taylor, scarf_complex(G), scarf_complex(star_ideal(G).star),
+                  parse_complex(facets)[0], restrict_leq(taylor, Monomial((2, 1, 1)))]
+    polyhedral = [polyhedral_from_incidence(M.gens, hull_specs()),
+                  polyhedral_from_incidence(labels((1,), (1,)), digon_specs())]
+    assert len(simplicial[-1].vertices()) == 3 < len(taylor.vertices())
+    for X in simplicial + polyhedral:
+        keys = [(f.dim, f.vertices) for f in X.faces]
+        assert [f.id for f in X.faces] == list(range(len(X.faces))) and keys == sorted(keys)
+        for f in X.faces:
+            assert type(f.vertices) is tuple and list(f.vertices) == sorted(set(f.vertices))
+            assert not hasattr(f, "__dict__")
+    for X in simplicial:
+        for f in X.faces:
+            v = f.vertices
+            assert {X.faces[i].vertices: s for i, s in f.boundary} == \
+                {v[:j] + v[j + 1:]: (-1) ** j for j in range(len(v))}
 
 
 def validated_simplicial(labels, facets):

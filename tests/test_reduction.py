@@ -159,17 +159,17 @@ def test_reduced_ranks_of_the_skeleta_of_a_simplex():
 
 def test_non_unit_incidence_is_refused():
     # built past the constructors, which admit only incidences +-1
-    empty = Face(0, frozenset(), -1, (), (0,))
-    vertex = Face(1, frozenset({0}), 0, ((0, 2),), (1,))
+    empty = Face(0, (), -1, (), (0,))
+    vertex = Face(1, (0,), 0, ((0, 2),), (1,))
     with pytest.raises(VerificationError, match="incidence 2 is not a unit"):
         reduced_homology_ranks(LabeledComplex(((1,),), (empty, vertex)))
 
 
 def test_taylor_exactness_makes_no_rank_call(monkeypatch):
     # every restriction of a Taylor complex is a simplex, a cone the strong
-    # collapses decide; every one of the g4-class Scarf complex is acyclic,
-    # and coreductions reduce the cores the collapses leave to nothing,
-    # where pairing collapses too stranded cells
+    # collapses decide; every one of the g4-class Scarf complex is acyclic:
+    # strong collapses run first, then coreductions reduce the cores they
+    # leave to nothing
     calls = count_calls(monkeypatch, cellres.complexes, "matrix_rank")
     cores = count_calls(monkeypatch, FaceIndex, "reduced_ranks")
     rng = random.Random(67)
