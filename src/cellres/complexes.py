@@ -2,11 +2,13 @@
 
 A complex carries one monomial label per vertex, held as its exponent
 tuple.  A face holds its vertices as their sorted tuple, whose order
-orients a simplex, and the lcm of their labels as its label.  Grade k
-holds the faces of dimension k-1 (grade 0 is the empty face alone, grade
-1 the vertices).  A complex is its tuple of faces in canonical (dim,
-vertices) order, ids 0, 1, ...: each grade is one range of ids, and
-facets are found when asked for.  Complexes are immutable once built.
+orients a simplex, the lcm of their labels as its label, and the ids of
+its boundary faces beside their signs, one signs tuple per dimension in
+a grown simplicial complex.  Grade k holds the faces of dimension k-1
+(grade 0 is the empty face alone, grade 1 the vertices).  A complex is
+its tuple of faces in canonical (dim, vertices) order, ids 0, 1, ...:
+each grade is one range of ids, and facets are found when asked for.
+Complexes are immutable once built.
 
 Simplicial complexes (Taylor, Scarf, JSON facets) are grown level by
 level by one builder, ``grow_simplicial``, correct by construction with
@@ -72,19 +74,22 @@ def check_cap(count: int, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Face:
-    """One cell: canonical id, vertices, dimension, signed boundary, label.
+    """One cell: canonical id, vertices, dimension, boundary, signs, label.
 
     ``vertices`` is the sorted tuple of vertex indices, whose order orients
     a simplex: dropping vertex j has sign (-1)^j.  ``label`` is the exponent
     tuple of the lcm of their labels; the empty face has dimension -1 and
-    label 1, the zero tuple.  ``boundary`` lists (face id, sign) pairs one
-    dimension down.
+    label 1, the zero tuple.  ``boundary`` is the ascending tuple of face
+    ids one dimension down and ``signs`` their incidences, position by
+    position.  In a simplicial complex grown by ``grow_simplicial`` position
+    p of a d-face has sign (-1)^(d - p), one ``signs`` object per grade.
     """
 
     id: int
     vertices: tuple
     dim: int
     boundary: tuple
+    signs: tuple
     label: tuple
 
 
@@ -125,7 +130,7 @@ class LabeledComplex:
 
     def facets(self):
         """Maximal nonempty faces: those in no face's boundary."""
-        bounded = {i for f in self.faces for i, _ in f.boundary}
+        bounded = {i for f in self.faces for i in f.boundary}
         return tuple(f for f in self.faces if f.dim >= 0 and f.id not in bounded)
 
     def is_simplicial(self) -> bool:
@@ -156,12 +161,12 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
     Two k-faces sharing their first k-1 vertices join into a candidate,
     dropped unless all its k-subsets are faces.  A lexicographic level
     yields the next in lexicographic order, so ids are canonical as faces
-    are made, and a sorted simplex drops vertex j with sign (-1)^j.  Faces
-    are counted, the empty one included, as each one is made, so a refusal
-    names the cap plus one.
+    are made, and a sorted simplex drops vertex j with sign (-1)^j, so the
+    faces of a level share one signs tuple.  Faces are counted, the empty
+    one included, as each one is made, so a refusal names the cap plus one.
     """
-    faces = [Face(0, (), -1, (), (0,) * len(labels[0]) if labels else ())]
-    faces += (Face(i, (v,), 0, ((0, 1),), labels[v]) for i, v in enumerate(vertices, 1))
+    faces = [Face(0, (), -1, (), (), (0,) * len(labels[0]) if labels else ())]
+    faces += (Face(i, (v,), 0, (0,), (1,), labels[v]) for i, v in enumerate(vertices, 1))
     cap = ENUMERATION_CAP
     check_cap(len(faces), what)
     ids = {f.vertices: f.id for f in faces}  # vertex tuple -> face id
@@ -169,7 +174,7 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
     while level:
         k = len(level[0][0])
         # dropping a later vertex gives an earlier face, so descending j sorts the ids
-        signs = [-1 if j & 1 else 1 for j in reversed(range(k + 2))]
+        signs = tuple(-1 if j & 1 else 1 for j in reversed(range(k + 2)))
         grown = []
         for prefix, lasts in level:
             for x, a in enumerate(lasts):
@@ -184,9 +189,9 @@ def grow_simplicial(labels, vertices, keep, what) -> LabeledComplex:
                         continue
                     label = tuple(map(max, faces[fid].label, labels[b]))
                     if keep(cand, label):
-                        boundary = tuple(zip((fid, ids[prefix + (b,)], *drops), signs))
+                        boundary = (fid, ids[prefix + (b,)], *drops)
                         ids[cand] = len(faces)
-                        faces.append(Face(len(faces), cand, k + 1, boundary, label))
+                        faces.append(Face(len(faces), cand, k + 1, boundary, signs, label))
                         if len(faces) > cap:
                             check_cap(len(faces), what)
                         kept.append(b)
@@ -266,18 +271,22 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
 
     order = sorted(specs, key=lambda k: (specs[k][0], vertices[k], str(k)))
     ids = {key: i for i, key in enumerate(order, 1)}  # id 0 is the empty face
-    faces = [Face(0, (), -1, (), (0,) * len(labels[0]) if labels else ())]
+    faces = [Face(0, (), -1, (), (), (0,) * len(labels[0]) if labels else ())]
     for key in order:
         dim, part = specs[key]
-        boundary = ((0, 1),) if dim == 0 else tuple(sorted((ids[b], s) for b, s in part))
+        if dim == 0:
+            boundary, signs = (0,), (1,)
+        else:  # not empty: a face with no boundary face was refused above
+            boundary, signs = zip(*sorted((ids[b], s) for b, s in part))
         # one max per variable over the face's vertex labels, also for a single vertex
         label = tuple(map(max, zip(*(labels[v] for v in vertices[key]))))
-        faces.append(Face(ids[key], vertices[key], dim, boundary, label))
+        faces.append(Face(ids[key], vertices[key], dim, boundary, signs, label))
     # two boundary steps must cancel, down to the empty face; reported in input order
     for key in specs:
         acc = {}
-        for sid, sign in faces[ids[key]].boundary:
-            for sid2, sign2 in faces[sid].boundary:
+        f = faces[ids[key]]
+        for sid, sign in zip(f.boundary, f.signs):
+            for sid2, sign2 in zip(faces[sid].boundary, faces[sid].signs):
                 acc[sid2] = acc.get(sid2, 0) + sign * sign2
         if any(acc.values()):
             raise InvalidComplexError(f"face {key!r}: boundary of boundary is nonzero")
@@ -320,7 +329,7 @@ def restrict_leq(X: LabeledComplex, beta: Monomial) -> LabeledComplex:
         if allowed.issuperset(f.vertices):
             k = ids[f.id] = len(faces)
             if f.id != k:
-                f = Face(k, f.vertices, f.dim, tuple((ids[i], s) for i, s in f.boundary), f.label)
+                f = Face(k, f.vertices, f.dim, tuple(ids[i] for i in f.boundary), f.signs, f.label)
             faces.append(f)
     return LabeledComplex(X.labels, tuple(faces))
 
@@ -430,14 +439,14 @@ class FaceIndex:
         nbd = {i: len(faces[i].boundary) for i in order}  # live boundary faces
         cob = {i: [] for i in order}  # cofaces among ids, ascending
         for i in order:
-            for j, _ in faces[i].boundary:
+            for j in faces[i].boundary:
                 cob[j].append(i)
         # first in, first out: the loop reaches the cells appended to it
         todo = [i for i in order if nbd[i] == 1]
         for b in todo:
             if b not in live or nbd[b] != 1:
                 continue
-            a, sign = next(p for p in faces[b].boundary if p[0] in live)
+            a, sign = next(p for p in zip(faces[b].boundary, faces[b].signs) if p[0] in live)
             if sign != 1 and sign != -1:
                 raise VerificationError(f"faces {a} and {b}: incidence {sign} is not a unit")
             live.discard(a)
@@ -459,7 +468,7 @@ class FaceIndex:
                 pos = {i: p for p, i in enumerate(rows)}
                 mat = [[0] * len(cols) for _ in rows]
                 for c, j in enumerate(cols):
-                    for i, sign in faces[j].boundary:
+                    for i, sign in zip(faces[j].boundary, faces[j].signs):
                         if i in pos:
                             mat[pos[i]][c] = sign
                 rank = matrix_rank(mat, len(cols))

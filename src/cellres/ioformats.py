@@ -269,7 +269,7 @@ def complex_doc(X: LabeledComplex, names) -> dict:
         if f.dim == 0:
             entry["vertex"] = f.vertices[0]
         else:
-            entry["boundary"] = [[sid, sign] for sid, sign in f.boundary]
+            entry["boundary"] = [[sid, sign] for sid, sign in zip(f.boundary, f.signs)]
         faces.append(entry)
     return {
         "labels": [list(m) for m in X.labels],

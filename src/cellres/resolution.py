@@ -63,7 +63,7 @@ def differential(F: FreeComplex, k: int) -> tuple:
     faces = X.faces
     first = X.grade(k - 1)[0].id  # a face's row is its id less the first of its grade
     return tuple((sid - first, col, sign, tuple(map(sub, f.label, faces[sid].label)))
-                 for col, f in enumerate(X.grade(k)) for sid, sign in f.boundary)
+                 for col, f in enumerate(X.grade(k)) for sid, sign in zip(f.boundary, f.signs))
 
 
 def verify_chain(maps) -> bool:
@@ -101,7 +101,7 @@ def is_minimal(X: LabeledComplex) -> bool:
     """No face has the same label as one of its boundary faces;
     equivalently, no differential entry is a unit."""
     faces = X.faces
-    return all(faces[sid].label != f.label for f in faces for sid, _ in f.boundary)
+    return all(faces[sid].label != f.label for f in faces for sid in f.boundary)
 
 
 def betti_ranks(F: FreeComplex):

@@ -210,7 +210,7 @@ def test_criterion_08_minimality_equivalences():
         F = build_complex(X, M)
         by_entries = F.minimal
         by_labels = all(X.faces[sid].label != f.label
-                        for f in X.faces for sid, _ in f.boundary)
+                        for f in X.faces for sid in f.boundary)
         by_units = not any(not any(quotient) for k in range(1, X.num_grades)
                            for *_, quotient in differential(F, k))
         if not (by_entries == by_labels == by_units):

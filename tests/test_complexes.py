@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -95,8 +96,9 @@ def test_boundary_squares_to_zero():
             if f.dim < 1:
                 continue
             acc = {}
-            for sid, s1 in f.boundary:
-                for s2id, s2 in X.faces[sid].boundary:
+            for sid, s1 in zip(f.boundary, f.signs):
+                sub = X.faces[sid]
+                for s2id, s2 in zip(sub.boundary, sub.signs):
                     acc[s2id] = acc.get(s2id, 0) + s1 * s2
             assert not any(acc.values())
 
@@ -200,7 +202,8 @@ def test_restrict_equals_induced_subcomplex():
 def face_specs(faces):
     """Face specs of the nonempty ones among ``faces``, ids as they are."""
     return [{"id": f.id, "dim": 0, "vertex": next(iter(f.vertices))} if f.dim == 0 else
-            {"id": f.id, "dim": f.dim, "boundary": [[sid, s] for sid, s in f.boundary]}
+            {"id": f.id, "dim": f.dim,
+             "boundary": [[sid, s] for sid, s in zip(f.boundary, f.signs)]}
             for f in faces if f.dim >= 0]
 
 
@@ -212,8 +215,8 @@ def rebuilt_restriction(X, beta):
 
 def assert_same_complex(got, want):
     assert got.labels == want.labels
-    assert [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in got.faces] == \
-        [(f.id, f.vertices, f.dim, f.boundary, f.label) for f in want.faces]
+    assert [(f.id, f.vertices, f.dim, f.boundary, f.signs, f.label) for f in got.faces] == \
+        [(f.id, f.vertices, f.dim, f.boundary, f.signs, f.label) for f in want.faces]
     assert [f.id for f in got.facets()] == [f.id for f in want.facets()]
     assert [len(got.grade(k)) for k in range(got.num_grades)] == \
         [len(want.grade(k)) for k in range(want.num_grades)]
@@ -255,17 +258,30 @@ def test_restrict_matches_rebuild_on_polyhedral():
     assert_filter_matches_rebuild(polyhedral_from_incidence(M.gens, hull_specs()))
 
 
+def spec_incidences(specs):
+    """Each face of dimension >= 1 of the specs, by its vertex tuple, with
+    its boundary as sorted (boundary face vertex tuple, sign) pairs."""
+    verts = {}
+    for s in sorted(specs, key=lambda s: s["dim"]):
+        verts[s["id"]] = (s["vertex"],) if s["dim"] == 0 else \
+            tuple(sorted({v for b, _ in s["boundary"] for v in verts[b]}))
+    return sorted((verts[s["id"]], sorted((verts[b], sign) for b, sign in s["boundary"]))
+                  for s in specs if s["dim"] >= 1)
+
+
 def test_every_builder_holds_sorted_vertex_tuples():
     # a face's vertices are the increasing tuple that orders the ids and,
-    # on a simplex, signs the boundary: dropping vertex j gives (-1)^j
+    # on a simplex, signs the boundary: dropping vertex j gives (-1)^j;
+    # the boundary is the ascending ids one dimension down, beside their signs
     M, G = five_gen_nongeneric(), random_generic_ideal(random.Random(3), 3, 6, artinian=True)
     facets = json.dumps({"labels": [list(g.exps) for g in M.gens],
                          "facets": [[4, 3], [0, 4], [1, 0], [3, 2, 1]]})
     taylor = taylor_complex(M)
     simplicial = [taylor, scarf_complex(G), scarf_complex(star_ideal(G).star),
                   parse_complex(facets)[0], restrict_leq(taylor, Monomial((2, 1, 1)))]
-    polyhedral = [polyhedral_from_incidence(M.gens, hull_specs()),
-                  polyhedral_from_incidence(labels((1,), (1,)), digon_specs())]
+    specs = [hull_specs(), digon_specs()]
+    polyhedral = [polyhedral_from_incidence(M.gens, specs[0]),
+                  polyhedral_from_incidence(labels((1,), (1,)), specs[1])]
     assert len(simplicial[-1].vertices()) == 3 < len(taylor.vertices())
     for X in simplicial + polyhedral:
         keys = [(f.dim, f.vertices) for f in X.faces]
@@ -273,11 +289,40 @@ def test_every_builder_holds_sorted_vertex_tuples():
         for f in X.faces:
             assert type(f.vertices) is tuple and list(f.vertices) == sorted(set(f.vertices))
             assert not hasattr(f, "__dict__")
+            assert type(f.boundary) is tuple and list(f.boundary) == sorted(set(f.boundary))
+            assert all(X.faces[i].dim == f.dim - 1 for i in f.boundary)
+            assert type(f.signs) is tuple and len(f.signs) == len(f.boundary)
+            assert set(f.signs) <= {1, -1}
     for X in simplicial:
+        for k in range(X.num_grades):
+            assert len({id(f.signs) for f in X.grade(k)}) == 1
         for f in X.faces:
             v = f.vertices
-            assert {X.faces[i].vertices: s for i, s in f.boundary} == \
+            assert {X.faces[i].vertices: s for i, s in zip(f.boundary, f.signs)} == \
                 {v[:j] + v[j + 1:]: (-1) ** j for j in range(len(v))}
+            assert f.signs == tuple((-1) ** (f.dim - p) for p in range(f.dim + 1))
+    parent = {f.vertices: f for f in taylor.faces}
+    assert all(f.signs is parent[f.vertices].signs for f in simplicial[-1].faces)
+    for X, spec in zip(polyhedral, specs):
+        assert sorted((f.vertices, sorted((X.faces[i].vertices, s)
+                                          for i, s in zip(f.boundary, f.signs)))
+                      for f in X.faces if f.dim >= 1) == spec_incidences(spec)
+
+
+def test_taylor_face_memory():
+    # the bound sits between about 430 bytes, a face holding bare boundary
+    # ids and its grade's shared signs tuple, and about 750, a face holding
+    # one (id, sign) pair per boundary entry (Python 3.10-3.13)
+    M = mk(3, *[(i, 11 - i, 7 * i % 12 + 1) for i in range(12)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        X = taylor_complex(M)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(X.faces) == 2 ** 12
+    assert held / len(X.faces) < 600
 
 
 def validated_simplicial(labels, facets):

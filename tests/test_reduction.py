@@ -46,7 +46,7 @@ def bareiss_ranks(X):
         rows, cols = X.grade(k - 1), X.grade(k)
         mat = [[0] * len(cols) for _ in rows]
         for j, f in enumerate(cols):
-            for sid, sign in f.boundary:
+            for sid, sign in zip(f.boundary, f.signs):
                 mat[sid - rows[0].id][j] = sign
         ranks.append(matrix_rank(mat, len(cols)))
     ranks.append(0)
@@ -159,8 +159,8 @@ def test_reduced_ranks_of_the_skeleta_of_a_simplex():
 
 def test_non_unit_incidence_is_refused():
     # built past the constructors, which admit only incidences +-1
-    empty = Face(0, (), -1, (), (0,))
-    vertex = Face(1, (0,), 0, ((0, 2),), (1,))
+    empty = Face(0, (), -1, (), (), (0,))
+    vertex = Face(1, (0,), 0, (0,), (2,), (1,))
     with pytest.raises(VerificationError, match="incidence 2 is not a unit"):
         reduced_homology_ranks(LabeledComplex(((1,),), (empty, vertex)))
 

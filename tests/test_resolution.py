@@ -83,9 +83,9 @@ def test_chain_condition_holds_and_detects_corruption():
     # flip one boundary sign of the first edge; F's maps are read off X
     X = F.complex
     edge = X.grade(2)[0]
-    (sid, sign), *rest = edge.boundary
+    sign, *rest = edge.signs
     faces = list(X.faces)
-    faces[edge.id] = replace(edge, boundary=((sid, -sign), *rest))
+    faces[edge.id] = replace(edge, signs=(-sign, *rest))
     G = replace(F, complex=LabeledComplex(X.labels, tuple(faces)))
     assert not verify_chain(chain_maps(G))
 
@@ -151,7 +151,8 @@ def test_minimality_examples():
             rows, cols = X.grade(k - 1), X.grade(k)
             expected = tuple((rows.index(X.faces[sid]), col, sign,
                               tuple(map(sub, f.label, X.faces[sid].label)))
-                             for col, f in enumerate(cols) for sid, sign in f.boundary)
+                             for col, f in enumerate(cols)
+                             for sid, sign in zip(f.boundary, f.signs))
             assert diff == expected
             assert all(min(quotient) >= 0 for *_, quotient in diff)
 
@@ -164,7 +165,7 @@ def test_minimality_three_ways_agree():
         F = build_complex(X, M)
         by_entries = F.minimal
         by_labels = all(X.faces[sid].label != f.label
-                        for f in X.faces for sid, _ in f.boundary)
+                        for f in X.faces for sid in f.boundary)
         by_units = not any(not any(quotient) for k in range(1, X.num_grades)
                            for *_, quotient in differential(F, k))
         assert by_entries == by_labels == by_units
