@@ -29,7 +29,14 @@ from cellres.errors import (
     PreconditionError,
     VerificationError,
 )
-from cellres.ioformats import SCHEMA_VERSION, dumps, ideal_str, monomial_str
+from cellres.ioformats import (
+    SCHEMA_VERSION,
+    dbar_factors_str,
+    dumps,
+    ideal_str,
+    irreducible_str,
+    monomial_str,
+)
 from cellres.residue import VERDICT_EXACT, duality_check
 from cellres.resolution import build_complex, differential, verify_chain
 from cellres.scarf import facet_pairs, scarf_complex, star_ideal
@@ -86,7 +93,7 @@ def _faces_line(faces):
     return " ".join(_braced(f.vertices) for f in faces)
 
 
-def _complex_text(X, names, title):
+def _complex_text(X, title):
     lines = [f"{title}: dim {X.dim}, {len(X.grade(1))} vertices, "
              f"{sum(len(X.grade(k)) for k in range(1, X.num_grades))} nonempty faces"]
     for k in range(1, X.num_grades):
@@ -95,21 +102,21 @@ def _complex_text(X, names, title):
     return lines
 
 
+# Each handler builds only the output that --format asks for: the result
+# document under json, the text otherwise.  verify also gives its exit code.
+
 def _cmd_check(args, M, names):
-    doc = {
-        "ideal": ioformats.ideal_doc(M, names),
-        "artinian": M.is_artinian(),
-        "generic": M.is_generic(),
-        "strongly_generic": M.is_strongly_generic(),
-    }
-    text = "\n".join([
-        "variables: " + ", ".join(doc["ideal"]["vars"]),
-        "generators: " + ", ".join(doc["ideal"]["pretty"]),
-        f"artinian: {_yn(doc['artinian'])}",
-        f"generic: {_yn(doc['generic'])}",
-        f"strongly generic: {_yn(doc['strongly_generic'])}",
-    ])
-    return doc, text + "\n"
+    artinian, generic, strong = M.is_artinian(), M.is_generic(), M.is_strongly_generic()
+    if args.format == "json":
+        return {"ideal": ioformats.ideal_doc(M, names), "artinian": artinian,
+                "generic": generic, "strongly_generic": strong}
+    return "\n".join([
+        "variables: " + ", ".join(names),
+        "generators: " + ", ".join(monomial_str(g.exps, names) for g in M.gens),
+        f"artinian: {_yn(artinian)}",
+        f"generic: {_yn(generic)}",
+        f"strongly generic: {_yn(strong)}",
+    ]) + "\n"
 
 
 def _yn(b):
@@ -119,46 +126,50 @@ def _yn(b):
 def _cmd_scarf(args, M, names):
     if args.ghost_exponent is not None and not args.star:
         raise PreconditionError("--ghost-exponent needs --star")
-    if args.star:
-        gh = star_ideal(M, args.ghost_exponent)
-        X = scarf_complex(gh.star)
-        doc = {
+    if not args.star:
+        X = scarf_complex(M)
+        if args.format == "json":
+            return {"complex": ioformats.complex_doc(X, names)}
+        return "\n".join(_complex_text(X, f"scarf complex of {ideal_str(M, names)}")) + "\n"
+    gh = star_ideal(M, args.ghost_exponent)
+    X = scarf_complex(gh.star)
+    pairs = facet_pairs(gh, X)
+    if args.format == "json":
+        return {
             "complex": ioformats.complex_doc(X, names),
             "ghost_exponent": gh.ghost_exponent,
-            "pairs": ioformats.pairs_doc(facet_pairs(gh, X), names),
+            "pairs": ioformats.pairs_doc(pairs, names),
         }
-        lines = _complex_text(X, names, f"ghosted scarf complex of {ideal_str(M, names)}")
-        lines.append("pairs:")
-        for p in doc["pairs"]:
-            lines.append(f"  K={_braced(p['K_vars'])} tau={_braced(p['tau'])} "
-                         f"annihilator={p['annihilator_str']}")
-        return doc, "\n".join(lines) + "\n"
-    X = scarf_complex(M)
-    doc = {"complex": ioformats.complex_doc(X, names)}
-    return doc, "\n".join(_complex_text(X, names, f"scarf complex of {ideal_str(M, names)}")) + "\n"
+    lines = _complex_text(X, f"ghosted scarf complex of {ideal_str(M, names)}")
+    lines.append("pairs:")
+    for p in pairs:
+        lines.append(f"  K={_braced(names[i] for i in sorted(p.K))} tau={_braced(sorted(p.tau))} "
+                     f"annihilator={irreducible_str(p.annihilator(), names)}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_taylor(args, M, names):
     X = taylor_complex(M)
-    doc = {"complex": ioformats.complex_doc(X, names)}
-    return doc, "\n".join(_complex_text(X, names, f"taylor complex of {ideal_str(M, names)}")) + "\n"
+    if args.format == "json":
+        return {"complex": ioformats.complex_doc(X, names)}
+    return "\n".join(_complex_text(X, f"taylor complex of {ideal_str(M, names)}")) + "\n"
 
 
 def _cmd_resolve(args, M, names):
     F = _free_complex(args.complex, M)
-    maps = [differential(F, k) for k in range(1, F.complex.num_grades)]
-    chain_ok = verify_chain(maps)
-    doc = {
-        "chain_ok": chain_ok,
-        "is_resolution": F.exact,
-        "is_minimal": F.minimal,
-        "ranks": list(F.ranks),
-        "differentials": [
-            [{"row": row, "col": col, "sign": sign, "quotient": list(quotient)}
-             for row, col, sign, quotient in diff]
-            for diff in maps
-        ],
-    }
+    chain_ok = verify_chain(F)
+    if args.format == "json":
+        return {
+            "chain_ok": chain_ok,
+            "is_resolution": F.exact,
+            "is_minimal": F.minimal,
+            "ranks": list(F.ranks),
+            "differentials": [
+                [{"row": row, "col": col, "sign": sign, "quotient": list(quotient)}
+                 for row, col, sign, quotient in differential(F, k)]
+                for k in range(1, F.complex.num_grades)
+            ],
+        }
     lines = [
         f"chain check: {_yn(chain_ok)}",
         f"resolution: {_yn(F.exact)}",
@@ -168,7 +179,7 @@ def _cmd_resolve(args, M, names):
     if F.exact and F.minimal:
         # the ranks of a minimal resolution are its Betti totals
         lines.append("betti ranks: " + ", ".join(map(str, F.ranks)))
-    return doc, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_decompose(args, M, names):
@@ -184,21 +195,22 @@ def _cmd_decompose(args, M, names):
         dec = decompose_minimal(_free_complex(args.complex, M))
     else:
         dec = decompose_brute(M)
-    doc = ioformats.decomposition_doc(dec, names)
-    text = "\n".join([
+    if args.format == "json":
+        return ioformats.decomposition_doc(dec, names)
+    return "\n".join([
         f"method: {dec.method}",
-        "components: " + (", ".join(doc["pretty"]) or "(none)"),
-        f"verified: {_yn(doc['verified'])}",
-    ])
-    return doc, text + "\n"
+        "components: " + (", ".join(irreducible_str(c, names) for c in dec.components) or "(none)"),
+        # decompose_* raises VerificationError rather than return a result failing dec.verify()
+        "verified: yes",
+    ]) + "\n"
 
 
 def _cmd_ass(args, M, names):
     primes = sorted(associated_primes(M), key=prime_key)
-    doc = {"associated_primes": [sorted(K) for K in primes]}
     pretty = ["(" + ", ".join(names[i] for i in sorted(K)) + ")" for K in primes]
-    doc["pretty"] = pretty
-    return doc, "associated primes: " + ", ".join(pretty) + "\n"
+    if args.format == "json":
+        return {"associated_primes": [sorted(K) for K in primes], "pretty": pretty}
+    return "associated primes: " + ", ".join(pretty) + "\n"
 
 
 def _cmd_residue(args, M, names):
@@ -207,32 +219,32 @@ def _cmd_residue(args, M, names):
         src = "scarf" if M.is_generic() and not M.is_unit() else "taylor"
     _candidate_values(M)  # the current needs a brute-force decomposition: refuse before building F
     report = duality_check(_free_complex(src, M))
-    doc = {
-        "complex_source": src,
-        "current": ioformats.residue_doc(report.current, names),
-        "duality": ioformats.duality_doc(report, names),
-    }
+    if args.format == "json":
+        return {
+            "complex_source": src,
+            "current": ioformats.residue_doc(report.current, names),
+            "duality": ioformats.duality_doc(report, names),
+        }
     lines = [f"complex: {src}"]
-    for e in doc["current"]["entries"]:
-        lines.append(f"entry K={_braced(names[i] for i in e['K'])} tau={_braced(e['tau'])} "
-                     f"{e['factors']} ann={e['annihilator_str']} "
-                     f"status={e['status']}" + (f" rule={e['rule']}" if e["rule"] else ""))
-    duality = doc["duality"]
-    lines.append(f"verdict: {duality['verdict']}")
-    lines.append(f"lower: {duality['lower_str']}")
-    lines.append(f"upper: {duality['upper_str']}")
-    return doc, "\n".join(lines) + "\n"
+    for e in report.current.entries:
+        lines.append(f"entry K={_braced(names[i] for i in sorted(e.K))} tau={_braced(sorted(e.tau))} "
+                     f"{dbar_factors_str(e, names)} ann={irreducible_str(e.annihilator, names)} "
+                     f"status={e.status}" + (f" rule={e.rule}" if e.rule else ""))
+    lines.append(f"verdict: {report.verdict}")
+    lines.append(f"lower: {ideal_str(report.lower, names)}")
+    lines.append(f"upper: {ideal_str(report.upper, names)}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_staircase(args, M, names):
     if args.format == "svg":
-        return None, svg_staircase(M, names)
+        return svg_staircase(M, names)
     if args.format == "json":
         data = staircase_data(M)
         data["pretty_inner"] = [monomial_str(p, names) for p in data["inner_corners"]]
         data["pretty_outer"] = [monomial_str(p, names) for p in data["outer_corners"]]
-        return data, None
-    return None, ascii_staircase(M, names)
+        return data
+    return ascii_staircase(M, names)
 
 
 def _cmd_verify(args, M, names):
@@ -290,7 +302,7 @@ def _cmd_verify(args, M, names):
             raise CapExceededError(
                 f"{M.num_gens} generators exceeds the Taylor check's limit of 10")
         F = _free_complex("taylor", M)
-        if not verify_chain([differential(F, k) for k in range(1, F.complex.num_grades)]):
+        if not verify_chain(F):
             raise VerificationError("composition of differentials is nonzero")
         if not F.exact:
             raise VerificationError("restricted subcomplex with nonzero homology")
@@ -300,13 +312,14 @@ def _cmd_verify(args, M, names):
     # a run in which every check was skipped verified nothing, so it does not pass
     ran = [c for c in checks if not c.get("skipped")]
     all_passed = bool(ran) and all(c["passed"] for c in ran)
-    doc = {"checks": checks, "all_passed": all_passed}
+    code = EXIT_OK if all_passed else EXIT_INTERNAL if ran else EXIT_CAP
+    if args.format == "json":
+        return {"checks": checks, "all_passed": all_passed}, code
     lines = [("skip " if c.get("skipped") else "ok " if c["passed"] else "FAIL ")
              + f"{c['name']}: {c['detail']}" for c in checks]
     lines.append("all checks passed" if all_passed else
                  "some checks FAILED" if ran else "no check ran: every check was skipped")
-    code = EXIT_OK if all_passed else EXIT_INTERNAL if ran else EXIT_CAP
-    return doc, "\n".join(lines) + "\n", code
+    return "\n".join(lines) + "\n", code
 
 
 def _parser():
@@ -360,20 +373,21 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         M, names = _load_ideal(args)
-        result = _HANDLERS[args.command](args, M, names)
+        out = _HANDLERS[args.command](args, M, names)
     except tuple(_REFUSALS) as exc:
         code, prefix = next(v for kind, v in _REFUSALS.items() if isinstance(exc, kind))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 
-    doc, text = result[0], result[1]
-    code = result[2] if len(result) > 2 else EXIT_OK
+    code = EXIT_OK
+    if type(out) is tuple:  # verify's output and exit code
+        out, code = out
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command}
-        payload.update(doc or {})
+        payload.update(out)
         sys.stdout.write(dumps(payload))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
     return code
 
 

@@ -283,14 +283,20 @@ def polyhedral_from_incidence(labels, face_specs) -> LabeledComplex:
         faces.append(Face(ids[key], vertices[key], dim, boundary, signs, label))
     # two boundary steps must cancel, down to the empty face; reported in input order
     for key in specs:
-        acc = {}
-        f = faces[ids[key]]
-        for sid, sign in zip(f.boundary, f.signs):
-            for sid2, sign2 in zip(faces[sid].boundary, faces[sid].signs):
-                acc[sid2] = acc.get(sid2, 0) + sign * sign2
-        if any(acc.values()):
+        if not _boundary_squares_to_zero(faces, faces[ids[key]]):
             raise InvalidComplexError(f"face {key!r}: boundary of boundary is nonzero")
     return LabeledComplex(labels, tuple(faces))
+
+
+def _boundary_squares_to_zero(faces, f) -> bool:
+    """Whether the boundary of the boundary of face f is zero: the signed
+    paths f -> g -> h through ``faces`` cancel for every face h."""
+    acc = {}
+    for sid, sign in zip(f.boundary, f.signs):
+        g = faces[sid]
+        for sid2, sign2 in zip(g.boundary, g.signs):
+            acc[sid2] = acc.get(sid2, 0) + sign * sign2
+    return not any(acc.values())
 
 
 def _int(v) -> int:

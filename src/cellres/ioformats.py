@@ -255,24 +255,31 @@ def ideal_doc(M: MonomialIdeal, names) -> dict:
 
 
 def complex_doc(X: LabeledComplex, names) -> dict:
+    """The complex as a document.  X's tuples are handed over, not copied:
+    ``dumps`` writes a tuple as a list."""
+    label_strs = {}  # each distinct label formatted once: many Taylor faces share one
     faces = []
     for f in X.faces:
         if f.dim < 0:
             continue
+        label = f.label
+        label_str = label_strs.get(label)
+        if label_str is None:
+            label_str = label_strs[label] = monomial_str(label, names)
         entry = {
             "id": f.id,
             "dim": f.dim,
-            "vertices": list(f.vertices),
-            "label": list(f.label),
-            "label_str": monomial_str(f.label, names),
+            "vertices": f.vertices,
+            "label": label,
+            "label_str": label_str,
         }
         if f.dim == 0:
             entry["vertex"] = f.vertices[0]
         else:
-            entry["boundary"] = [[sid, sign] for sid, sign in zip(f.boundary, f.signs)]
+            entry["boundary"] = tuple(zip(f.boundary, f.signs))
         faces.append(entry)
     return {
-        "labels": [list(m) for m in X.labels],
+        "labels": X.labels,
         "vars": list(names),
         "dim": X.dim,
         "is_simplicial": X.is_simplicial(),

@@ -1,9 +1,10 @@
 """Shared example ideals, complexes, random generators, the g-class scale
-ideals, and a call counter."""
+ideals, the polynomial chain-condition oracle, and a call counter."""
 
 import itertools
 import random
 import sys
+from operator import add
 
 from cellres.monomial import Monomial, MonomialIdeal
 from cellres.resolution import differential
@@ -170,9 +171,25 @@ def ghosted_pairs(M, D):
     return facet_pairs(gh, scarf_complex(gh.star))
 
 
-def chain_maps(F):
-    """The maps of F, grade 1 down to 0 first, as ``verify_chain`` takes them."""
-    return [differential(F, k) for k in range(1, F.complex.num_grades)]
+def chain_oracle(F):
+    """Whether f_k . f_{k+1} = 0 for every k, composed as matrices of
+    polynomials from the maps ``differential(F, k)``, grade 1 down to 0
+    first: each path's sign and summed quotient exponents are added up.
+    The oracle for ``verify_chain``, which decides on face signs alone."""
+    lower = {}  # the map one grade down, by column
+    for k in range(1, F.complex.num_grades):
+        upper = differential(F, k)
+        acc = {}
+        for row, col, sign, quotient in upper:
+            for row1, sign1, quotient1 in lower.get(row, ()):
+                key = (row1, col, tuple(map(add, quotient1, quotient)))
+                acc[key] = acc.get(key, 0) + sign1 * sign
+        if any(acc.values()):
+            return False
+        lower = {}
+        for row, col, sign, quotient in upper:
+            lower.setdefault(col, []).append((row, sign, quotient))
+    return True
 
 
 def count_calls(monkeypatch, module, name):

@@ -9,11 +9,13 @@ prefixed ``stderr: `` and a nonzero exit code as ``exit: N``.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from cellres.cli import main
+from conftest import five_gen_nongeneric, hull_specs
 
 TRANSCRIPTS = Path(__file__).resolve().parent / "cli_text"
 
@@ -45,9 +47,16 @@ COMMANDS = [
 ]
 
 
-def transcript(path):
+# the complex-file route, run in the directory of C.json, so that its path prints as given
+FILE_COMMANDS = [
+    ["resolve", "--complex", "C.json"],
+    ["residue", "--complex", "C.json"],
+]
+
+
+def transcript(path, commands=COMMANDS):
     blocks = []
-    for argv in COMMANDS:
+    for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], str(path), *argv[1:]])
@@ -64,3 +73,14 @@ def test_cli_text_output_is_pinned(tmp_path, name):
     path.write_text(IDEALS[name])
     expected = (TRANSCRIPTS / f"{name}.txt").read_text(encoding="utf-8")
     assert transcript(path) == expected
+
+
+def test_cli_text_output_of_a_complex_file_is_pinned(tmp_path, monkeypatch):
+    # the hull complex, a triangle and a quadrilateral, minimally resolves the "five" ideal
+    path = tmp_path / "M.txt"
+    path.write_text(IDEALS["five"])
+    labels = [list(g.exps) for g in five_gen_nongeneric().gens]
+    (tmp_path / "C.json").write_text(json.dumps({"labels": labels, "faces": hull_specs()}))
+    monkeypatch.chdir(tmp_path)
+    expected = (TRANSCRIPTS / "hull.txt").read_text(encoding="utf-8")
+    assert transcript(path, FILE_COMMANDS) == expected

@@ -40,6 +40,7 @@ from conftest import (
     random_generic_ideal,
     random_ideal,
     three_gen_nonartinian,
+    xy_square,
 )
 
 
@@ -533,13 +534,50 @@ def test_cli_derives_differentials_only_where_read(tmp_path, capsys, monkeypatch
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == []
-    # resolve derives each map once, for the chain check and its JSON alike
+    # resolve derives each map once, for its JSON
     assert main(["resolve", path, "--complex", "scarf", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [k for _, k in calls] == [1, 2, 3]
     # a simplex of dimension k - 1 in grade k has k boundary faces
     sizes = [k * r for k, r in enumerate(doc["ranks"]) if k]
     assert [len(diff) for diff in doc["differentials"]] == sizes
+
+
+def test_cli_verify_derives_no_differential(tmp_path, capsys, monkeypatch):
+    # the Taylor check, run up to 10 generators, decides the chain condition on face signs
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "differential")
+    for path in _generic_artinian_paths(tmp_path):
+        assert main(["verify", path]) == 0
+        assert "ok taylor-resolution" in capsys.readouterr().out
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt, grades", [("json", [1, 2, 3]), ("text", [])])
+def test_cli_resolve_derives_differentials_for_json_only(tmp_path, capsys, monkeypatch,
+                                                         fmt, grades):
+    import cellres.resolution
+
+    calls = count_calls(monkeypatch, cellres.resolution, "differential")
+    path = _write(tmp_path, "m.txt", ideal_text(xy_square()))
+    assert main(["resolve", path, "--complex", "taylor", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert [k for _, k in calls] == grades
+
+
+@pytest.mark.parametrize("argv", [["taylor"], ["scarf"], ["scarf", "--star"]])
+def test_cli_json_builds_no_complex_text(tmp_path, capsys, monkeypatch, argv):
+    import cellres.cli
+
+    calls = count_calls(monkeypatch, cellres.cli, "_complex_text")
+    path = _write(tmp_path, "m.txt", ideal_text(xy_square()))
+    assert main([argv[0], path, *argv[1:], "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_cli_verify_decides_each_complex_once(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from operator import sub
@@ -5,8 +6,15 @@ from operator import sub
 import pytest
 
 import cellres.complexes
-from cellres.complexes import LabeledComplex, lcm_lattice, simplicial_from_facets, taylor_complex
+from cellres.complexes import (
+    LabeledComplex,
+    lcm_lattice,
+    polyhedral_from_incidence,
+    simplicial_from_facets,
+    taylor_complex,
+)
 from cellres.errors import CapExceededError, LabelMismatchError, NotMinimalError
+from cellres.ioformats import parse_complex
 from cellres.resolution import (
     betti_ranks,
     build_complex,
@@ -16,11 +24,14 @@ from cellres.resolution import (
 )
 from cellres.scarf import scarf_complex
 from conftest import (
-    chain_maps,
+    chain_oracle,
+    digon_specs,
     five_gen_nongeneric,
     g_class,
     hull_specs,
     mk,
+    random_antichain,
+    random_generic_ideal,
     random_ideal,
     random_staircase,
     xy_square,
@@ -54,7 +65,7 @@ def test_single_generator():
     F = build_complex(X, M)
     assert F.ranks == (1, 1)
     assert differential(F, 1) == ((0, 0, 1, (3, 1)),)
-    assert verify_chain(chain_maps(F))
+    assert verify_chain(F)
     assert betti_ranks(F) == [1, 1]
 
 
@@ -79,7 +90,7 @@ def test_build_complex_refuses_past_the_vertex_cap(monkeypatch):
 def test_chain_condition_holds_and_detects_corruption():
     M = five_gen_nongeneric()
     F = build_complex(taylor_complex(M), M)
-    assert verify_chain(chain_maps(F))
+    assert verify_chain(F)
     # flip one boundary sign of the first edge; F's maps are read off X
     X = F.complex
     edge = X.grade(2)[0]
@@ -87,7 +98,68 @@ def test_chain_condition_holds_and_detects_corruption():
     faces = list(X.faces)
     faces[edge.id] = replace(edge, signs=(-sign, *rest))
     G = replace(F, complex=LabeledComplex(X.labels, tuple(faces)))
-    assert not verify_chain(chain_maps(G))
+    assert not verify_chain(G)
+
+
+def _chain_cases(rng):
+    """Free complexes on Taylor, Scarf, JSON-facet, hull and digon complexes."""
+    for _ in range(8):
+        M = random_antichain(rng, rng.randint(2, 4), rng.randint(3, 7), degree=12)
+        yield build_complex(taylor_complex(M), M)
+        G = random_generic_ideal(rng, 3, rng.randint(4, 7), artinian=True)
+        yield build_complex(scarf_complex(G), G)
+        r = M.num_gens
+        facets = [rng.sample(range(r), rng.randint(1, r)) for _ in range(rng.randint(1, 3))]
+        facets += [[v] for v in range(r)]  # every generator a vertex
+        text = json.dumps({"labels": [list(g.exps) for g in M.gens], "facets": facets})
+        yield build_complex(parse_complex(text)[0], M)
+    M5 = five_gen_nongeneric()
+    yield build_complex(polyhedral_from_incidence(M5.gens, hull_specs()), M5)
+    # the digon's vertices are z^2 and yz
+    yield build_complex(polyhedral_from_incidence(M5.gens, digon_specs()), mk(3, *M5.gens[:2]))
+
+
+def _corrupted(F, rng):
+    """F with one boundary sign flipped, then with two boundary ids swapped
+    within one face, then across two faces of one dimension."""
+    X = F.complex
+    faces = list(X.faces)
+
+    def on(changed):
+        G = faces.copy()
+        for f in changed:
+            G[f.id] = f
+        return replace(F, complex=LabeledComplex(X.labels, tuple(G)))
+
+    f = rng.choice(faces[1:])
+    p = rng.randrange(len(f.signs))
+    yield on([replace(f, signs=f.signs[:p] + (-f.signs[p],) + f.signs[p + 1:])])
+    wide = [f for f in faces if len(f.boundary) >= 2]
+    if wide:
+        f = rng.choice(wide)
+        p, q = rng.sample(range(len(f.boundary)), 2)
+        ids = list(f.boundary)
+        ids[p], ids[q] = ids[q], ids[p]
+        yield on([replace(f, boundary=tuple(ids))])
+    grades = [X.grade(k) for k in range(1, X.num_grades) if len(X.grade(k)) >= 2]
+    if grades:
+        f, g = rng.sample(rng.choice(grades), 2)
+        p, q = rng.randrange(len(f.boundary)), rng.randrange(len(g.boundary))
+        a, b = list(f.boundary), list(g.boundary)
+        a[p], b[q] = b[q], a[p]
+        yield on([replace(f, boundary=tuple(a)), replace(g, boundary=tuple(b))])
+
+
+def test_chain_check_on_signs_matches_the_polynomial_oracle():
+    rng = random.Random(127)
+    verdicts = []
+    for F in _chain_cases(rng):
+        assert verify_chain(F) and chain_oracle(F)
+        for G in _corrupted(F, rng):
+            verdicts.append(verify_chain(G))
+            assert verdicts[-1] == chain_oracle(G)
+    # a swap of two boundary faces with equal signs keeps the chain condition
+    assert True in verdicts and False in verdicts
 
 
 def test_taylor_resolves_random_ideals():
@@ -96,7 +168,7 @@ def test_taylor_resolves_random_ideals():
         M = random_ideal(rng, rng.randint(1, 4), rng.randint(1, 6), maxdeg=6)
         X = taylor_complex(M)
         assert is_resolution(X)
-        assert verify_chain(chain_maps(build_complex(X, M)))
+        assert verify_chain(build_complex(X, M))
 
 
 def test_hollow_triangle_is_not_resolution():
